@@ -475,6 +475,20 @@ func BenchmarkClusterBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkLoad_SoC20k measures core.Load — validation, delay calculation,
+// elaboration and compilation, parsing excluded — on the 20k-cell SoC the
+// cold-open benchmark rotates through.
+func BenchmarkLoad_SoC20k(b *testing.B) {
+	d := mustGen(workload.SoCCells(20000, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Load(benchLib, d, core.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulator measures the dynamic-validation harness on the ALU
 // workload: one full 10-cycle worst-case simulation per iteration.
 func BenchmarkSimulator(b *testing.B) {

@@ -19,6 +19,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hummingbird/internal/breakopen"
@@ -73,20 +74,36 @@ type Cluster struct {
 	// position within Outputs.
 	Plan *breakopen.Plan
 
-	local map[int]int // net id -> index in Nets
-	adj   map[int][]int
+	// netLocal maps a global net id to the net's index within the Nets
+	// of the cluster owning it; every cluster of a network shares it, so
+	// LocalIndex confirms ownership against Nets.
+	netLocal []int32
+	// arcStart/arcIdx are the adjacency of arcs leaving each member net,
+	// by local index: the arcs out of local net li are
+	// arcIdx[arcStart[li]:arcStart[li+1]], indices into Arcs in order.
+	arcStart []int
+	arcIdx   []int
 }
 
 // LocalIndex returns the position of net id within Nets, or -1.
 func (c *Cluster) LocalIndex(net int) int {
-	if i, ok := c.local[net]; ok {
-		return i
+	if net < 0 || net >= len(c.netLocal) {
+		return -1
+	}
+	if li := int(c.netLocal[net]); li < len(c.Nets) && c.Nets[li] == net {
+		return li
 	}
 	return -1
 }
 
 // ArcsFrom returns the indices into Arcs of arcs leaving the given net.
-func (c *Cluster) ArcsFrom(net int) []int { return c.adj[net] }
+func (c *Cluster) ArcsFrom(net int) []int {
+	li := c.LocalIndex(net)
+	if li < 0 {
+		return nil
+	}
+	return c.arcIdx[c.arcStart[li]:c.arcStart[li+1]]
+}
 
 // SyncSite is one physical synchronisation point: a latch/FF/tristate
 // instance, a primary port, or a virtual enable-capture endpoint, expanded
@@ -114,8 +131,12 @@ type Network struct {
 	Clocks *clock.Set
 	Calc   *delaycalc.Calc
 
+	// Nets and NetIdx are the net table of the delay calculator's index
+	// (delaycalc.Calc.Index): net ids are positions in sorted-name order.
 	Nets   []string
 	NetIdx map[string]int
+	// Stats are the design's Table-1 statistics.
+	Stats netlist.Stats
 
 	Sites []SyncSite
 	// Elems holds every generic element occurrence; Elems[i].Inst matches
@@ -148,14 +169,12 @@ type enableIn struct {
 }
 
 // Build elaborates a resolved design (every instance reference must resolve
-// in lib — flatten or roll up hierarchy first).
+// in lib — flatten or roll up hierarchy first). It works over the net
+// index of calc, which must have been built for design.
 func Build(lib *celllib.Library, design *netlist.Design, cs *clock.Set, calc *delaycalc.Calc) (*Network, error) {
-	nw := &Network{Lib: lib, Design: design, Clocks: cs, Calc: calc}
-	nw.Nets = design.NetNames()
-	nw.NetIdx = make(map[string]int, len(nw.Nets))
-	for i, n := range nw.Nets {
-		nw.NetIdx[n] = i
-	}
+	idx := calc.Index()
+	nw := &Network{Lib: lib, Design: design, Clocks: cs, Calc: calc,
+		Nets: idx.Nets, NetIdx: idx.NetIdx, Stats: idx.Stats(design, lib)}
 	seen := map[clock.Time]bool{}
 	for _, e := range cs.Edges() {
 		if !seen[e.At] {
@@ -165,11 +184,15 @@ func Build(lib *celllib.Library, design *netlist.Design, cs *clock.Set, calc *de
 	}
 	sort.Slice(nw.EdgeTimes, func(i, j int) bool { return nw.EdgeTimes[i] < nw.EdgeTimes[j] })
 
-	combArcs, err := nw.collectArcs()
-	if err != nil {
-		return nil, err
+	cells := make([]*celllib.Cell, len(design.Instances))
+	for i := range design.Instances {
+		inst := &design.Instances[i]
+		if cells[i] = lib.Cell(inst.Ref); cells[i] == nil {
+			return nil, fmt.Errorf("cluster: instance %s: unresolved reference %q (flatten or roll up first)", inst.Name, inst.Ref)
+		}
 	}
-	if err := nw.buildSites(combArcs); err != nil {
+	combArcs := nw.collectArcs(idx, cells)
+	if err := nw.buildSites(idx, cells, combArcs); err != nil {
 		return nil, err
 	}
 	if err := nw.extractClusters(combArcs); err != nil {
@@ -179,34 +202,58 @@ func Build(lib *celllib.Library, design *netlist.Design, cs *clock.Set, calc *de
 }
 
 // collectArcs gathers every combinational timing arc (arcs of sync cells are
-// handled through the element model instead).
-func (nw *Network) collectArcs() ([]Arc, error) {
-	var arcs []Arc
-	for i := range nw.Design.Instances {
-		inst := &nw.Design.Instances[i]
-		cell := nw.Lib.Cell(inst.Ref)
-		if cell == nil {
-			return nil, fmt.Errorf("cluster: instance %s: unresolved reference %q (flatten or roll up first)", inst.Name, inst.Ref)
+// handled through the element model instead), in instance and cell-arc
+// order.
+func (nw *Network) collectArcs(idx *netlist.Index, cells []*celllib.Cell) []Arc {
+	// ends memoizes, per cell, the pin positions of each arc's endpoints.
+	ends := map[*celllib.Cell][][2]int{}
+	n := 0
+	for _, cell := range cells {
+		if !cell.IsSync() {
+			n += len(cell.Arcs)
 		}
+	}
+	arcs := make([]Arc, 0, n)
+	for i, cell := range cells {
 		if cell.IsSync() {
 			continue
 		}
+		e, ok := ends[cell]
+		if !ok {
+			e = make([][2]int, len(cell.Arcs))
+			for ai, arc := range cell.Arcs {
+				e[ai] = [2]int{pinPos(cell, arc.From), pinPos(cell, arc.To)}
+			}
+			ends[cell] = e
+		}
+		inst := &nw.Design.Instances[i]
+		slots := idx.Slots(i)
 		for ai := range cell.Arcs {
-			arc := &cell.Arcs[ai]
-			fromNet, ok1 := inst.Conns[arc.From]
-			toNet, ok2 := inst.Conns[arc.To]
-			if !ok1 || !ok2 {
+			from, to := slots[e[ai][0]], slots[e[ai][1]]
+			if from < 0 || to < 0 {
 				continue
 			}
+			arc := &cell.Arcs[ai]
 			arcs = append(arcs, Arc{
 				Inst: inst.Name, FromPin: arc.From, ToPin: arc.To,
-				From: nw.NetIdx[fromNet], To: nw.NetIdx[toNet],
+				From: int(from), To: int(to),
 				Sense: arc.Sense,
-				D:     nw.Calc.ArcDelays(inst, arc),
+				D:     nw.Calc.ArcDelaysAt(inst, arc, int(to)),
 			})
 		}
 	}
-	return arcs, nil
+	return arcs
+}
+
+// pinPos returns the position of the named pin within cell.Pins. Library
+// validation guarantees every arc endpoint names a pin.
+func pinPos(cell *celllib.Cell, name string) int {
+	for k := range cell.Pins {
+		if cell.Pins[k].Name == name {
+			return k
+		}
+	}
+	panic(fmt.Sprintf("cluster: cell %s has no pin %s", cell.Name, name))
 }
 
 // ctrlInfo is the memoized control-path analysis result for one net.
@@ -216,6 +263,7 @@ type ctrlInfo struct {
 	parityOdd  bool
 	maxDelay   clock.Time
 	minDelay   clock.Time
+	traced     bool
 	visiting   bool
 	// isEnable marks a net whose cone contains no clock at all: it is
 	// driven (transitively) by synchronising-element outputs or primary
@@ -226,71 +274,92 @@ type ctrlInfo struct {
 // buildSites identifies synchronising instances and ports, analyses their
 // control paths (including enable-path classification) and builds the
 // generic elements.
-func (nw *Network) buildSites(arcs []Arc) error {
-	inArcs := make(map[int][]*Arc)
+func (nw *Network) buildSites(idx *netlist.Index, cells []*celllib.Cell, arcs []Arc) error {
+	n := len(nw.Nets)
+	// inStart/inArc list the arcs into each net: inArc[inStart[net]:
+	// inStart[net+1]], in arc order.
+	inStart := make([]int32, n+1)
 	for i := range arcs {
-		inArcs[arcs[i].To] = append(inArcs[arcs[i].To], &arcs[i])
+		inStart[arcs[i].To+1]++
 	}
-	clockNet := map[int]int{} // net id -> clock signal index
+	for net := 0; net < n; net++ {
+		inStart[net+1] += inStart[net]
+	}
+	inArc := make([]int32, len(arcs))
+	fill := slices.Clone(inStart[:n])
+	for i := range arcs {
+		inArc[fill[arcs[i].To]] = int32(i)
+		fill[arcs[i].To]++
+	}
+	into := func(net int) []int32 { return inArc[inStart[net]:inStart[net+1]] }
+
+	clockSig := make([]int, n) // net id -> clock signal index, or -1
+	for net := range clockSig {
+		clockSig[net] = -1
+	}
 	for ci, c := range nw.Design.Clocks {
-		if n, ok := nw.NetIdx[c.Name]; ok {
-			clockNet[n] = ci
+		if net, ok := nw.NetIdx[c.Name]; ok {
+			clockSig[net] = ci
 		}
 	}
-	syncOut := map[int]string{} // nets driven by sync outputs
-	for i := range nw.Design.Instances {
-		inst := &nw.Design.Instances[i]
-		cell := nw.Lib.Cell(inst.Ref)
-		if cell == nil || !cell.IsSync() {
+	// dataSrc marks the nets driven by synchronising-element outputs or
+	// primary inputs.
+	dataSrc := make([]bool, n)
+	sites := len(nw.Design.Ports)
+	for i, cell := range cells {
+		if !cell.IsSync() {
 			continue
 		}
-		for _, op := range cell.Outputs() {
-			if net, ok := inst.Conns[op]; ok {
-				syncOut[nw.NetIdx[net]] = inst.Name
+		sites++
+		for k, net := range idx.Slots(i) {
+			if net >= 0 && cell.Pins[k].Dir == celllib.Out {
+				dataSrc[net] = true
 			}
 		}
 	}
-	piNet := map[int]bool{}
 	for _, p := range nw.Design.Ports {
 		if p.Dir == netlist.Input {
-			piNet[nw.NetIdx[p.Name]] = true
+			dataSrc[nw.NetIdx[p.Name]] = true
 		}
 	}
 
-	memo := make(map[int]*ctrlInfo)
+	// Every port and synchronising instance is a site of at least one
+	// element; enable endpoints and multi-pulse elements grow the slices.
+	nw.Sites = make([]SyncSite, 0, sites)
+	nw.Elems = make([]*syncelem.Element, 0, sites)
+	nw.SiteOf = make([]int, 0, sites)
+
+	memo := make([]ctrlInfo, n)
 	var trace func(net int) (*ctrlInfo, error)
 	trace = func(net int) (*ctrlInfo, error) {
-		if ci, ok := memo[net]; ok {
+		ci := &memo[net]
+		if ci.traced {
 			if ci.visiting {
 				return nil, fmt.Errorf("cluster: combinational cycle in control path through net %q", nw.Nets[net])
 			}
 			return ci, nil
 		}
-		ci := &ctrlInfo{sig: -1}
-		memo[net] = ci
-		if sig, ok := clockNet[net]; ok {
+		*ci = ctrlInfo{sig: -1, traced: true}
+		if sig := clockSig[net]; sig >= 0 {
 			ci.sig = sig
 			ci.parityEven = true
 			return ci, nil
 		}
 		// Synchronising-element outputs and primary inputs terminate the
 		// cone on its data side: the net is an enable (§4).
-		if _, ok := syncOut[net]; ok {
+		if dataSrc[net] {
 			ci.isEnable = true
 			return ci, nil
 		}
-		if piNet[net] {
-			ci.isEnable = true
-			return ci, nil
-		}
-		preds := inArcs[net]
+		preds := into(net)
 		if len(preds) == 0 {
 			return nil, fmt.Errorf("cluster: control input traces back to undriven net %q", nw.Nets[net])
 		}
 		ci.visiting = true
 		sawClock := false
 		first := true
-		for _, a := range preds {
+		for _, ai := range preds {
+			a := &arcs[ai]
 			up, err := trace(a.From)
 			if err != nil {
 				return nil, err
@@ -335,63 +404,87 @@ func (nw *Network) buildSites(arcs []Arc) error {
 	// collectEnables returns, for every enable net feeding one element's
 	// control cone, the worst-case combinational delay from that net to the
 	// control pin. The cone is acyclic (trace rejects cycles), so a
-	// worklist longest-path over the cone is exact.
+	// worklist longest-path over the cone is exact. Its per-net scratch is
+	// shared across calls: an entry counts only when its generation is
+	// the current call's.
+	downTo, best := make([]clock.Time, n), make([]clock.Time, n)
+	downGen, bestGen := make([]int32, n), make([]int32, n)
+	var gen int32
+	var work, enNets []int
 	collectEnables := func(ctrlNet int) []enableIn {
-		best := map[int]clock.Time{}
-		downTo := map[int]clock.Time{ctrlNet: 0}
-		work := []int{ctrlNet}
+		gen++
+		downTo[ctrlNet], downGen[ctrlNet] = 0, gen
+		work, enNets = append(work[:0], ctrlNet), enNets[:0]
 		for len(work) > 0 {
 			net := work[len(work)-1]
 			work = work[:len(work)-1]
 			acc := downTo[net]
-			for _, a := range inArcs[net] {
-				up := memo[a.From]
-				if up == nil {
+			for _, ai := range into(net) {
+				a := &arcs[ai]
+				up := &memo[a.From]
+				if !up.traced {
 					continue
 				}
 				d := acc + a.D.Max()
 				if up.isEnable {
-					if prev, ok := best[a.From]; !ok || d > prev {
+					if bestGen[a.From] != gen {
+						bestGen[a.From], best[a.From] = gen, d
+						enNets = append(enNets, a.From)
+					} else if d > best[a.From] {
 						best[a.From] = d
 					}
 					continue
 				}
-				if prev, ok := downTo[a.From]; !ok || d > prev {
-					downTo[a.From] = d
+				if downGen[a.From] != gen || d > downTo[a.From] {
+					downGen[a.From], downTo[a.From] = gen, d
 					work = append(work, a.From)
 				}
 			}
 		}
-		out := make([]enableIn, 0, len(best))
-		for net, d := range best {
-			out = append(out, enableIn{net: net, delayToCtrl: d})
+		sort.Ints(enNets)
+		out := make([]enableIn, len(enNets))
+		for i, net := range enNets {
+			out[i] = enableIn{net: net, delayToCtrl: best[net]}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].net < out[j].net })
 		return out
 	}
 
 	addSite := func(site SyncSite, elems []*syncelem.Element) {
 		siteIdx := len(nw.Sites)
-		for _, e := range elems {
-			site.Elems = append(site.Elems, len(nw.Elems))
+		site.Elems = make([]int, len(elems))
+		for k, e := range elems {
+			site.Elems[k] = len(nw.Elems)
 			nw.Elems = append(nw.Elems, e)
 			nw.SiteOf = append(nw.SiteOf, siteIdx)
 		}
 		nw.Sites = append(nw.Sites, site)
 	}
 
-	for i := range nw.Design.Instances {
-		inst := &nw.Design.Instances[i]
-		cell := nw.Lib.Cell(inst.Ref)
-		if cell == nil || !cell.IsSync() {
+	for i, cell := range cells {
+		if !cell.IsSync() {
 			continue
 		}
-		ctrlPin := cell.ControlPin()
-		ctrlNetName, ok := inst.Conns[ctrlPin]
-		if !ok {
-			return fmt.Errorf("cluster: %s: control pin %s unconnected", inst.Name, ctrlPin)
+		inst := &nw.Design.Instances[i]
+		slots := idx.Slots(i)
+		ctrlK, dataK, outK, nData := -1, -1, -1, 0
+		for k, p := range cell.Pins {
+			if p.Role == celllib.Control && ctrlK < 0 {
+				ctrlK = k
+			}
+			if p.Dir == celllib.In && p.Role == celllib.Data {
+				if nData == 0 {
+					dataK = k
+				}
+				nData++
+			}
+			if p.Dir == celllib.Out && outK < 0 {
+				outK = k
+			}
 		}
-		ctrlNet := nw.NetIdx[ctrlNetName]
+		if ctrlK < 0 || slots[ctrlK] < 0 {
+			return fmt.Errorf("cluster: %s: control pin %s unconnected", inst.Name, cell.ControlPin())
+		}
+		ctrlNet := int(slots[ctrlK])
 		ci, err := trace(ctrlNet)
 		if err != nil {
 			return fmt.Errorf("%w (control input of %s)", err, inst.Name)
@@ -399,19 +492,15 @@ func (nw *Network) buildSites(arcs []Arc) error {
 		if ci.isEnable || ci.sig < 0 {
 			return fmt.Errorf("cluster: control input of %s is not a function of any clock", inst.Name)
 		}
-		dataPins := cell.DataPins()
-		if len(dataPins) != 1 {
-			return fmt.Errorf("cluster: %s (%s): synchronising elements must have exactly one data input, found %d", inst.Name, inst.Ref, len(dataPins))
+		if nData != 1 {
+			return fmt.Errorf("cluster: %s (%s): synchronising elements must have exactly one data input, found %d", inst.Name, inst.Ref, nData)
 		}
-		dataNet := -1
-		if n, ok := inst.Conns[dataPins[0]]; ok {
-			dataNet = nw.NetIdx[n]
-		} else {
-			return fmt.Errorf("cluster: %s: data pin %s unconnected", inst.Name, dataPins[0])
+		if slots[dataK] < 0 {
+			return fmt.Errorf("cluster: %s: data pin %s unconnected", inst.Name, cell.Pins[dataK].Name)
 		}
-		outNet := -1
-		if n, ok := inst.Conns[cell.Outputs()[0]]; ok {
-			outNet = nw.NetIdx[n]
+		dataNet, outNet := int(slots[dataK]), -1
+		if outK >= 0 {
+			outNet = int(slots[outK])
 		}
 		inverted := ci.parityOdd
 		elems, err := syncelem.Build(inst.Name, cell.Kind, cell.Sync, nw.Clocks, ci.sig, inverted, ci.maxDelay, ci.minDelay)
@@ -477,14 +566,9 @@ func (nw *Network) buildSites(arcs []Arc) error {
 
 	// The pure clock cone: clock source nets plus every traced net that is
 	// not on the enable side.
-	nw.ctrlNets = make([]bool, len(nw.Nets))
-	for n := range clockNet {
-		nw.ctrlNets[n] = true
-	}
-	for n, ci := range memo {
-		if !ci.isEnable {
-			nw.ctrlNets[n] = true
-		}
+	nw.ctrlNets = make([]bool, n)
+	for net := range nw.ctrlNets {
+		nw.ctrlNets[net] = clockSig[net] >= 0 || (memo[net].traced && !memo[net].isEnable)
 	}
 	return nil
 }
@@ -494,9 +578,6 @@ func (nw *Network) buildSites(arcs []Arc) error {
 func (nw *Network) extractClusters(arcs []Arc) error {
 	n := len(nw.Nets)
 	isCtrl := nw.ctrlNets
-	if isCtrl == nil {
-		isCtrl = make([]bool, n)
-	}
 	// A clock-cone net consumed as data is outside the supported class.
 	for _, s := range nw.Sites {
 		if s.DataNet >= 0 && isCtrl[s.DataNet] {
@@ -508,33 +589,16 @@ func (nw *Network) extractClusters(arcs []Arc) error {
 			return fmt.Errorf("cluster: control net %q feeds data logic through instance %s", nw.Nets[arcs[i].From], arcs[i].Inst)
 		}
 	}
+	isData := func(a *Arc) bool { return !isCtrl[a.From] && !isCtrl[a.To] }
 
-	// Union of data nets: weak components over data arcs.
-	g := graph.New(n)
-	for i := range arcs {
-		if isCtrl[arcs[i].From] || isCtrl[arcs[i].To] {
-			continue
-		}
-		if err := g.AddEdge(arcs[i].From, arcs[i].To); err != nil {
-			return fmt.Errorf("cluster: arc of instance %s: %w", arcs[i].Inst, err)
-		}
-	}
-	comp, _ := g.UndirectedComponents()
-	byComp := make(map[int]*Cluster)
-	getCluster := func(c int) *Cluster {
-		cl, ok := byComp[c]
-		if !ok {
-			cl = &Cluster{ID: len(byComp), local: map[int]int{}, adj: map[int][]int{}}
-			byComp[c] = cl
-		}
-		return cl
-	}
-	// Member nets: nets that carry data arcs or touch a sync terminal.
+	// Weak components over data arcs, by union-find. Member nets: nets
+	// that carry data arcs or touch a sync terminal.
+	comps := graph.NewDisjointSets(n)
 	touches := make([]bool, n)
 	for i := range arcs {
-		if !isCtrl[arcs[i].From] && !isCtrl[arcs[i].To] {
-			touches[arcs[i].From] = true
-			touches[arcs[i].To] = true
+		if a := &arcs[i]; isData(a) {
+			comps.Union(int32(a.From), int32(a.To))
+			touches[a.From], touches[a.To] = true, true
 		}
 	}
 	for _, s := range nw.Sites {
@@ -545,66 +609,128 @@ func (nw *Network) extractClusters(arcs []Arc) error {
 			touches[s.DataNet] = true
 		}
 	}
+
+	// Clusters are numbered in order of their smallest member net: a
+	// component becomes a cluster when the ascending walk first meets it.
+	// cid[net] is the cluster of a member net, -1 elsewhere.
+	cid := make([]int32, n)
+	byRoot := make([]int32, n)
+	for net := range byRoot {
+		byRoot[net] = -1
+	}
+	type size struct{ nets, arcs, ins, outs int }
+	var sizes []size
 	for net := 0; net < n; net++ {
+		cid[net] = -1
 		if !touches[net] || isCtrl[net] {
 			continue
 		}
-		cl := getCluster(comp[net])
-		cl.local[net] = len(cl.Nets)
-		cl.Nets = append(cl.Nets, net)
+		r := comps.Find(int32(net))
+		if byRoot[r] < 0 {
+			byRoot[r] = int32(len(sizes))
+			sizes = append(sizes, size{})
+		}
+		cid[net] = byRoot[r]
+		sizes[cid[net]].nets++
 	}
 	for i := range arcs {
-		if isCtrl[arcs[i].From] || isCtrl[arcs[i].To] {
-			continue
+		if a := &arcs[i]; isData(a) {
+			sizes[cid[a.From]].arcs++
 		}
-		cl := getCluster(comp[arcs[i].From])
-		cl.adj[arcs[i].From] = append(cl.adj[arcs[i].From], len(cl.Arcs))
-		cl.Arcs = append(cl.Arcs, arcs[i])
 	}
-	// Endpoints.
-	for ei := range nw.Elems {
-		site := nw.Sites[nw.SiteOf[ei]]
+	// An element's output endpoint feeds its OutNet's cluster, its
+	// capture endpoint is its DataNet's.
+	inCl := func(site *SyncSite) int32 {
 		if site.OutNet >= 0 && touches[site.OutNet] && !isCtrl[site.OutNet] {
-			cl := getCluster(comp[site.OutNet])
-			cl.Inputs = append(cl.Inputs, In{Elem: ei, Net: site.OutNet})
+			return cid[site.OutNet]
 		}
+		return -1
+	}
+	outCl := func(site *SyncSite) int32 {
 		if site.DataNet >= 0 && touches[site.DataNet] {
-			cl := getCluster(comp[site.DataNet])
-			cl.Outputs = append(cl.Outputs, Out{Elem: ei, Net: site.DataNet})
+			return cid[site.DataNet]
+		}
+		return -1
+	}
+	for ei := range nw.Elems {
+		site := &nw.Sites[nw.SiteOf[ei]]
+		if c := inCl(site); c >= 0 {
+			sizes[c].ins++
+		}
+		if c := outCl(site); c >= 0 {
+			sizes[c].outs++
 		}
 	}
-	// Deterministic cluster order: by smallest member net id.
-	var clusters []*Cluster
-	for _, cl := range byComp {
-		sort.Ints(cl.Nets)
-		// Rebuild local index after sorting.
-		for i, netID := range cl.Nets {
-			cl.local[netID] = i
-		}
-		clusters = append(clusters, cl)
+
+	netLocal := make([]int32, n)
+	nw.Clusters = make([]*Cluster, len(sizes))
+	for c, sz := range sizes {
+		nw.Clusters[c] = &Cluster{ID: c, netLocal: netLocal,
+			Nets: make([]int, 0, sz.nets), Arcs: make([]Arc, 0, sz.arcs),
+			Inputs: make([]In, 0, sz.ins), Outputs: make([]Out, 0, sz.outs),
+			arcStart: make([]int, sz.nets+1), arcIdx: make([]int, sz.arcs)}
 	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Nets[0] < clusters[j].Nets[0] })
-	for i, cl := range clusters {
-		cl.ID = i
-		sort.Slice(cl.Inputs, func(a, b int) bool { return cl.Inputs[a].Elem < cl.Inputs[b].Elem })
-		sort.Slice(cl.Outputs, func(a, b int) bool { return cl.Outputs[a].Elem < cl.Outputs[b].Elem })
-		if err := nw.preprocess(cl); err != nil {
+	for net := 0; net < n; net++ {
+		if c := cid[net]; c >= 0 {
+			cl := nw.Clusters[c]
+			netLocal[net] = int32(len(cl.Nets))
+			cl.Nets = append(cl.Nets, net)
+		}
+	}
+	for i := range arcs {
+		if a := &arcs[i]; isData(a) {
+			cl := nw.Clusters[cid[a.From]]
+			cl.arcStart[netLocal[a.From]+1]++
+			cl.Arcs = append(cl.Arcs, *a)
+		}
+	}
+	for ei := range nw.Elems {
+		site := &nw.Sites[nw.SiteOf[ei]]
+		if c := inCl(site); c >= 0 {
+			nw.Clusters[c].Inputs = append(nw.Clusters[c].Inputs, In{Elem: ei, Net: site.OutNet})
+		}
+		if c := outCl(site); c >= 0 {
+			nw.Clusters[c].Outputs = append(nw.Clusters[c].Outputs, Out{Elem: ei, Net: site.DataNet})
+		}
+	}
+
+	var sc preScratch
+	for _, cl := range nw.Clusters {
+		for li := range cl.Nets {
+			cl.arcStart[li+1] += cl.arcStart[li]
+		}
+		fill := append(sc.fill[:0], cl.arcStart[:len(cl.Nets)]...)
+		for ai := range cl.Arcs {
+			li := netLocal[cl.Arcs[ai].From]
+			cl.arcIdx[fill[li]] = ai
+			fill[li]++
+		}
+		sc.fill = fill
+		if err := nw.preprocess(cl, &sc); err != nil {
 			return err
 		}
 	}
-	nw.Clusters = clusters
 	return nil
+}
+
+// preScratch is preprocess's scratch, reused from cluster to cluster.
+type preScratch struct {
+	fill, succ, stack []int
+	mark              []int32
+	stamp             int32
 }
 
 // preprocess checks acyclicity, orders the cluster, computes input→output
 // reachability and solves the break-open plan (§7).
-func (nw *Network) preprocess(cl *Cluster) error {
-	local := graph.New(len(cl.Nets))
-	for _, a := range cl.Arcs {
-		if err := local.AddEdge(cl.local[a.From], cl.local[a.To]); err != nil {
-			return fmt.Errorf("cluster %d: arc of instance %s: %w", cl.ID, a.Inst, err)
-		}
+func (nw *Network) preprocess(cl *Cluster, sc *preScratch) error {
+	nl := len(cl.Nets)
+	// succ lists each local net's successors, parallel to arcIdx.
+	succ := sc.succ[:0]
+	for _, ai := range cl.arcIdx {
+		succ = append(succ, int(cl.netLocal[cl.Arcs[ai].To]))
 	}
+	sc.succ = succ
+	local := graph.CSR{Start: cl.arcStart, Succ: succ}
 	orderLocal, err := local.TopoSort()
 	if err != nil {
 		cyc := local.FindCycle()
@@ -614,17 +740,24 @@ func (nw *Network) preprocess(cl *Cluster) error {
 		}
 		return fmt.Errorf("cluster %d: combinational cycle through nets %v (violates the §3 acyclicity assumption)", cl.ID, names)
 	}
-	cl.Order = make([]int, len(orderLocal))
 	for i, v := range orderLocal {
-		cl.Order[i] = cl.Nets[v]
+		orderLocal[i] = cl.Nets[v]
 	}
-	// Reachability input→output.
+	cl.Order = orderLocal
+
+	// Reachability input→output: one walk per input, marking the local
+	// nets it reaches with a fresh stamp.
+	if len(sc.mark) < nl {
+		sc.mark = make([]int32, len(nw.Nets))
+	}
 	cl.Reach = make([][]bool, len(cl.Inputs))
+	rows := make([]bool, len(cl.Inputs)*len(cl.Outputs))
 	for ii, in := range cl.Inputs {
-		mask := local.ReachableFrom(cl.local[in.Net])
-		row := make([]bool, len(cl.Outputs))
+		sc.stamp++
+		sc.stack = local.MarkReachable(sc.mark, sc.stamp, sc.stack, int(cl.netLocal[in.Net]))
+		row := rows[ii*len(cl.Outputs) : (ii+1)*len(cl.Outputs) : (ii+1)*len(cl.Outputs)]
 		for oi, out := range cl.Outputs {
-			row[oi] = mask[cl.local[out.Net]]
+			row[oi] = sc.mark[cl.netLocal[out.Net]] == sc.stamp
 		}
 		cl.Reach[ii] = row
 	}

@@ -264,19 +264,11 @@ func compileCluster(cl *Cluster) *CompiledCluster {
 		cc.FromLocal[ai] = int32(cl.LocalIndex(cl.Arcs[ai].From))
 		cc.ToLocal[ai] = int32(cl.LocalIndex(cl.Arcs[ai].To))
 	}
-	// CSR over the existing adjacency: count, prefix-sum, fill.
-	for li, netID := range cl.Nets {
-		cc.ArcStart[li+1] = int32(len(cl.ArcsFrom(netID)))
+	for li, start := range cl.arcStart {
+		cc.ArcStart[li] = int32(start)
 	}
-	for li := 0; li < n; li++ {
-		cc.ArcStart[li+1] += cc.ArcStart[li]
-	}
-	fill := append([]int32(nil), cc.ArcStart[:n]...)
-	for li, netID := range cl.Nets {
-		for _, ai := range cl.ArcsFrom(netID) {
-			cc.ArcIdx[fill[li]] = int32(ai)
-			fill[li]++
-		}
+	for k, ai := range cl.arcIdx {
+		cc.ArcIdx[k] = int32(ai)
 	}
 	for i, in := range cl.Inputs {
 		cc.InLocal[i] = int32(cl.LocalIndex(in.Net))

@@ -186,7 +186,11 @@ func Load(lib *celllib.Library, design *netlist.Design, opts Options) (*Analyzer
 	if opts.PartialDivisor <= 1 {
 		opts.PartialDivisor = 2
 	}
-	if err := design.Validate(lib); err != nil {
+	// One net index serves validation, delay calculation and elaboration.
+	// Built against the unresolved library it lays module instances out by
+	// module port, the pin order of their rolled-up super-cells.
+	idx := netlist.NewIndex(design, lib)
+	if err := design.ValidateIndex(lib, idx); err != nil {
 		return nil, err
 	}
 	resolved := lib
@@ -201,7 +205,7 @@ func Load(lib *celllib.Library, design *netlist.Design, opts Options) (*Analyzer
 	if err != nil {
 		return nil, err
 	}
-	calc, err := delaycalc.New(resolved, design, opts.Delay)
+	calc, err := delaycalc.NewIndexed(resolved, design, idx, opts.Delay)
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,8 @@ type Calc struct {
 	lib    *celllib.Library
 	design *netlist.Design
 	opts   Options
-	loads  map[string]celllib.Cap
+	idx    *netlist.Index
+	loads  []celllib.Cap // by net id
 	// adjust holds per-instance additive delay adjustments (interactive
 	// mode, §8: "Adjustments may also be made to component delays").
 	adjust map[string]clock.Time
@@ -89,47 +90,62 @@ type Calc struct {
 
 // New builds a calculator, computing every net's capacitive load.
 func New(lib *celllib.Library, design *netlist.Design, opts Options) (*Calc, error) {
-	c := &Calc{lib: lib, design: design, opts: opts,
-		loads:  make(map[string]celllib.Cap),
+	return NewIndexed(lib, design, netlist.NewIndex(design, lib), opts)
+}
+
+// NewIndexed is New over a prebuilt net index of the design (see
+// netlist.NewIndex), which the calculator keeps and hands on through
+// Index.
+func NewIndexed(lib *celllib.Library, design *netlist.Design, idx *netlist.Index, opts Options) (*Calc, error) {
+	c := &Calc{lib: lib, design: design, opts: opts, idx: idx,
+		loads:  make([]celllib.Cap, len(idx.Nets)),
 		adjust: make(map[string]clock.Time)}
-	sinkCount := map[string]int{}
-	pinCap := map[string]celllib.Cap{}
-	for _, inst := range design.Instances {
+	sinks := make([]int32, len(idx.Nets))
+	for i := range design.Instances {
+		inst := &design.Instances[i]
 		cell := lib.Cell(inst.Ref)
 		if cell == nil {
 			return nil, fmt.Errorf("delaycalc: instance %s references unresolved component %q", inst.Name, inst.Ref)
 		}
-		for pin, net := range inst.Conns {
-			p := cell.Pin(pin)
-			if p == nil {
-				return nil, fmt.Errorf("delaycalc: instance %s (%s): unknown pin %q", inst.Name, inst.Ref, pin)
+		connected := 0
+		for k, net := range idx.Slots(i) {
+			if net < 0 {
+				continue
 			}
-			if p.Dir == celllib.In {
-				sinkCount[net]++
-				pinCap[net] += p.C
+			connected++
+			if p := &cell.Pins[k]; p.Dir == celllib.In {
+				sinks[net]++
+				c.loads[net] += p.C
 			}
+		}
+		if connected < len(inst.Conns) {
+			return nil, fmt.Errorf("delaycalc: instance %s (%s): unknown pin %q", inst.Name, inst.Ref, netlist.UnknownPin(inst, cell.Pins))
 		}
 	}
 	for _, p := range design.Ports {
 		if p.Dir == netlist.Output {
-			sinkCount[p.Name]++
-			pinCap[p.Name] += opts.DefaultPortLoad
+			net := idx.NetIdx[p.Name]
+			sinks[net]++
+			c.loads[net] += opts.DefaultPortLoad
 		}
 	}
-	for _, net := range design.NetNames() {
-		load := pinCap[net]
-		if n := sinkCount[net]; n > 0 {
-			load += c.opts.WireCapBase + celllib.Cap(n)*c.opts.WireCapPerFanout
+	for net, n := range sinks {
+		if n > 0 {
+			c.loads[net] += opts.WireCapBase + celllib.Cap(n)*opts.WireCapPerFanout
 		}
-		c.loads[net] = load
 	}
 	return c, nil
 }
 
+// Index returns the net index the calculator was built over; its net ids
+// are the ones ArcDelaysAt takes.
+func (c *Calc) Index() *netlist.Index { return c.idx }
+
 // RefreshLoads recomputes the capacitive loads of the named nets from the
 // design's current instances. The incremental engine calls this after a
 // cell resize: the resized instance's input pin capacitances change the
-// loads — and hence the arc delays — of the nets driving it.
+// loads — and hence the arc delays — of the nets driving it. Only the
+// nets' sink instances are visited, each through its current cell.
 func (c *Calc) RefreshLoads(nets []string) {
 	if len(nets) == 0 {
 		return
@@ -137,36 +153,41 @@ func (c *Calc) RefreshLoads(nets []string) {
 	if telemetry.Enabled() {
 		defer func(t0 time.Time) { tRefreshLoads.Observe(time.Since(t0)) }(time.Now())
 	}
-	want := make(map[string]bool, len(nets))
-	for _, n := range nets {
-		want[n] = true
-	}
-	sinkCount := map[string]int{}
-	pinCap := map[string]celllib.Cap{}
-	for _, inst := range c.design.Instances {
-		cell := c.lib.Cell(inst.Ref)
-		if cell == nil {
+	for _, name := range nets {
+		net, ok := c.idx.NetIdx[name]
+		if !ok {
 			continue
 		}
-		for pin, net := range inst.Conns {
-			if !want[net] {
+		var load celllib.Cap
+		n := 0
+		prev := int32(-1)
+		for _, i := range c.idx.Sinks[c.idx.SinkStart[net]:c.idx.SinkStart[net+1]] {
+			if i == prev {
+				continue // one visit covers all of the instance's pins on the net
+			}
+			prev = i
+			inst := &c.design.Instances[i]
+			cell := c.lib.Cell(inst.Ref)
+			if cell == nil {
 				continue
 			}
-			if p := cell.Pin(pin); p != nil && p.Dir == celllib.In {
-				sinkCount[net]++
-				pinCap[net] += p.C
+			for pin, to := range inst.Conns {
+				if to != name {
+					continue
+				}
+				if p := cell.Pin(pin); p != nil && p.Dir == celllib.In {
+					n++
+					load += p.C
+				}
 			}
 		}
-	}
-	for _, p := range c.design.Ports {
-		if p.Dir == netlist.Output && want[p.Name] {
-			sinkCount[p.Name]++
-			pinCap[p.Name] += c.opts.DefaultPortLoad
+		for _, p := range c.design.Ports {
+			if p.Dir == netlist.Output && p.Name == name {
+				n++
+				load += c.opts.DefaultPortLoad
+			}
 		}
-	}
-	for _, net := range nets {
-		load := pinCap[net]
-		if n := sinkCount[net]; n > 0 {
+		if n > 0 {
 			load += c.opts.WireCapBase + celllib.Cap(n)*c.opts.WireCapPerFanout
 		}
 		c.loads[net] = load
@@ -174,7 +195,12 @@ func (c *Calc) RefreshLoads(nets []string) {
 }
 
 // NetLoad returns the total capacitive load on the named net.
-func (c *Calc) NetLoad(net string) celllib.Cap { return c.loads[net] }
+func (c *Calc) NetLoad(net string) celllib.Cap {
+	if id, ok := c.idx.NetIdx[net]; ok {
+		return c.loads[id]
+	}
+	return 0
+}
 
 // Adjust adds delta picoseconds to every max/min arc delay of the named
 // instance (negative deltas speed the instance up; min delays are floored
@@ -188,11 +214,25 @@ func (c *Calc) Adjustment(instName string) clock.Time { return c.adjust[instName
 
 // ArcDelays evaluates one arc of one instance at its connected load.
 func (c *Calc) ArcDelays(inst *netlist.Instance, arc *celllib.Arc) Delays {
-	mEvals.Inc()
 	load := c.opts.DefaultPortLoad
 	if net, ok := inst.Conns[arc.To]; ok {
-		load = c.loads[net]
+		load = c.NetLoad(net)
 	}
+	return c.eval(inst, arc, load)
+}
+
+// ArcDelaysAt is ArcDelays for an arc whose driven net is known by id
+// (see Index), or -1 when the arc's output pin is unconnected.
+func (c *Calc) ArcDelaysAt(inst *netlist.Instance, arc *celllib.Arc, to int) Delays {
+	load := c.opts.DefaultPortLoad
+	if to >= 0 {
+		load = c.loads[to]
+	}
+	return c.eval(inst, arc, load)
+}
+
+func (c *Calc) eval(inst *netlist.Instance, arc *celllib.Arc, load celllib.Cap) Delays {
+	mEvals.Inc()
 	adj := c.adjust[inst.Name]
 	d := Delays{
 		MaxRise: arc.Delay.MaxRise.Eval(load) + adj,
@@ -251,11 +291,7 @@ func rollUp(lib *celllib.Library, m *netlist.Design, opts Options) (*celllib.Cel
 		return nil, err
 	}
 	// Net-level DAG: node per net; arcs per instance input→output.
-	nets := m.NetNames()
-	id := make(map[string]int, len(nets))
-	for i, n := range nets {
-		id[n] = i
-	}
+	nets, id := calc.idx.Nets, calc.idx.NetIdx
 	g := graph.New(len(nets))
 	type edge struct {
 		from, to int
@@ -294,15 +330,13 @@ func rollUp(lib *celllib.Library, m *netlist.Design, opts Options) (*celllib.Cel
 	}
 
 	const unset = clock.Time(-1)
-	var pins []celllib.Pin
-	var arcs []celllib.Arc
-	for _, p := range m.Ports {
-		if p.Dir == netlist.Input {
-			pins = append(pins, celllib.Pin{Name: p.Name, Dir: celllib.In, Role: celllib.Data, C: opts.DefaultPortLoad})
-		} else {
-			pins = append(pins, celllib.Pin{Name: p.Name, Dir: celllib.Out})
+	pins := m.PortPins()
+	for k := range pins {
+		if pins[k].Dir == celllib.In {
+			pins[k].C = opts.DefaultPortLoad
 		}
 	}
+	var arcs []celllib.Arc
 	for _, in := range m.Ports {
 		if in.Dir != netlist.Input {
 			continue

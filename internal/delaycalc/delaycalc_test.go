@@ -1,6 +1,7 @@
 package delaycalc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,6 +210,22 @@ func TestRollUpModules(t *testing.T) {
 	}
 }
 
+// core.Load indexes a hierarchical design against the base library and
+// reads the slots through the rolled-up super-cells, so both must lay a
+// module instance's pins out the same way.
+func TestIndexSlotsMatchSuperCellPins(t *testing.T) {
+	d := parse(t, hierText)
+	ext, err := RollUpModules(lib, d, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, resolved := netlist.NewIndex(d, lib), netlist.NewIndex(d, ext)
+	if !slices.Equal(base.PinStart, resolved.PinStart) || !slices.Equal(base.PinNet, resolved.PinNet) {
+		t.Fatalf("pin tables differ: base %v/%v, resolved %v/%v",
+			base.PinStart, base.PinNet, resolved.PinStart, resolved.PinNet)
+	}
+}
+
 func TestRollUpRejectsCycle(t *testing.T) {
 	d := netlist.New("top")
 	d.AddClock(clock.Signal{Name: "phi", Period: 100, RiseAt: 0, FallAt: 40})
@@ -232,5 +249,48 @@ func TestDelaysMaxMin(t *testing.T) {
 	d2 := Delays{MaxRise: 30, MaxFall: 20, MinRise: 3, MinFall: 5}
 	if d2.Max() != 30 || d2.Min() != 3 {
 		t.Fatalf("Max/Min = %v/%v", d2.Max(), d2.Min())
+	}
+}
+
+// TestNewErrorDeterministic checks that an instance with several unknown
+// pins always reports the first in name order.
+func TestNewErrorDeterministic(t *testing.T) {
+	const want = `delaycalc: instance g1 (INV_X1): unknown pin "P"`
+	for i := 0; i < 100; i++ {
+		d, err := netlist.ParseString(chainText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pin := range []string{"R", "Q", "P"} {
+			d.Instances[0].Conns[pin] = "n9"
+		}
+		if _, err := New(lib, d, DefaultOptions()); err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestRefreshLoadsMatchesNew resizes a sink of a net in place and checks
+// that refreshing that net's load agrees with a calculator built afresh.
+func TestRefreshLoadsMatchesNew(t *testing.T) {
+	d := parse(t, chainText)
+	c, err := New(lib, d, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.NetLoad("n1")
+	d.Instances[1].Ref = "INV_X2" // g2, a sink of n1
+	c.RefreshLoads([]string{"n1"})
+	fresh, err := New(lib, d, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NetLoad("n1") == before {
+		t.Fatalf("resize left n1's load at %d", before)
+	}
+	for _, net := range d.NetNames() {
+		if got, want := c.NetLoad(net), fresh.NetLoad(net); got != want {
+			t.Errorf("net %s: refreshed load %d, fresh load %d", net, got, want)
+		}
 	}
 }

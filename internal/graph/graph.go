@@ -73,15 +73,43 @@ func (g *Digraph) InDegree(u int) int { return len(g.in[u]) }
 // ErrCycle is returned by TopoSort when the graph contains a directed cycle.
 var ErrCycle = errors.New("graph: directed cycle detected")
 
+// CSR is a frozen directed graph in compressed sparse row form over nodes
+// 0..len(Start)-2: node u's successors are Succ[Start[u]:Start[u+1]].
+// Callers that already hold their adjacency this way (cluster
+// pre-processing) query it directly; Digraph's queries flatten into it, so
+// each algorithm below exists once.
+type CSR struct {
+	Start, Succ []int
+}
+
+// N returns the number of nodes.
+func (g CSR) N() int { return max(len(g.Start)-1, 0) }
+
+// Out returns the successors of u.
+func (g CSR) Out(u int) []int { return g.Succ[g.Start[u]:g.Start[u+1]] }
+
+// flatten lays adjacency lists out as a CSR, keeping each list's order.
+func flatten(adj [][]int) CSR {
+	g := CSR{Start: make([]int, len(adj)+1)}
+	for u, vs := range adj {
+		g.Start[u+1] = g.Start[u] + len(vs)
+	}
+	g.Succ = make([]int, 0, g.Start[len(adj)])
+	for _, vs := range adj {
+		g.Succ = append(g.Succ, vs...)
+	}
+	return g
+}
+
 // TopoSort returns a topological ordering of all nodes, or ErrCycle if the
 // graph is cyclic. The ordering is deterministic: among ready nodes the
 // smallest index is emitted first (Kahn's algorithm with an ordered
 // frontier), so repeated runs over the same graph agree.
-func (g *Digraph) TopoSort() ([]int, error) {
-	n := len(g.out)
+func (g CSR) TopoSort() ([]int, error) {
+	n := g.N()
 	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = len(g.in[v])
+	for _, v := range g.Succ {
+		indeg[v]++
 	}
 	// Min-heap frontier for determinism.
 	h := &intHeap{}
@@ -94,9 +122,8 @@ func (g *Digraph) TopoSort() ([]int, error) {
 	for h.len() > 0 {
 		u := h.pop()
 		order = append(order, u)
-		for _, v := range g.out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
+		for _, v := range g.Out(u) {
+			if indeg[v]--; indeg[v] == 0 {
 				h.push(v)
 			}
 		}
@@ -106,6 +133,9 @@ func (g *Digraph) TopoSort() ([]int, error) {
 	}
 	return order, nil
 }
+
+// TopoSort is CSR.TopoSort over the graph's current edges.
+func (g *Digraph) TopoSort() ([]int, error) { return flatten(g.out).TopoSort() }
 
 // Levels assigns to every node its longest-path depth from any source
 // (node with in-degree zero): sources get level 0 and each edge u->v forces
@@ -136,13 +166,13 @@ func (g *Digraph) HasCycle() bool {
 // repeated at the end), or nil if the graph is acyclic. Used to produce
 // actionable diagnostics when a design violates the §3 acyclicity
 // assumption.
-func (g *Digraph) FindCycle() []int {
+func (g CSR) FindCycle() []int {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	n := len(g.out)
+	n := g.N()
 	color := make([]int, n)
 	parent := make([]int, n)
 	for i := range parent {
@@ -152,7 +182,7 @@ func (g *Digraph) FindCycle() []int {
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
 		color[u] = grey
-		for _, v := range g.out[u] {
+		for _, v := range g.Out(u) {
 			switch color[v] {
 			case white:
 				parent[v] = u
@@ -185,89 +215,104 @@ func (g *Digraph) FindCycle() []int {
 	return nil
 }
 
-// ReachableFrom returns the set of nodes reachable from any of the given
-// sources (sources included), as a boolean mask indexed by node.
-func (g *Digraph) ReachableFrom(sources ...int) []bool {
-	seen := make([]bool, len(g.out))
-	stack := make([]int, 0, len(sources))
+// FindCycle is CSR.FindCycle over the graph's current edges.
+func (g *Digraph) FindCycle() []int { return flatten(g.out).FindCycle() }
+
+// MarkReachable sets mark[v] = stamp for every node reachable from any of
+// the given sources (sources included). A node counts as unvisited unless
+// its mark already equals stamp, so repeated queries over one mask need
+// only a fresh stamp each, never a clearing pass. stack is scratch space;
+// the grown stack is returned for reuse.
+func (g CSR) MarkReachable(mark []int32, stamp int32, stack []int, sources ...int) []int {
+	stack = stack[:0]
 	for _, s := range sources {
-		if !seen[s] {
-			seen[s] = true
+		if mark[s] != stamp {
+			mark[s] = stamp
 			stack = append(stack, s)
 		}
 	}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.out[u] {
-			if !seen[v] {
-				seen[v] = true
+		for _, v := range g.Out(u) {
+			if mark[v] != stamp {
+				mark[v] = stamp
 				stack = append(stack, v)
 			}
 		}
 	}
+	return stack
+}
+
+// reachable is MarkReachable as a boolean mask indexed by node.
+func (g CSR) reachable(sources []int) []bool {
+	mark := make([]int32, g.N())
+	g.MarkReachable(mark, 1, nil, sources...)
+	seen := make([]bool, len(mark))
+	for v, m := range mark {
+		seen[v] = m == 1
+	}
 	return seen
 }
+
+// ReachableFrom returns the set of nodes reachable from any of the given
+// sources (sources included), as a boolean mask indexed by node.
+func (g *Digraph) ReachableFrom(sources ...int) []bool { return flatten(g.out).reachable(sources) }
 
 // CoReachableTo returns the set of nodes from which any of the given sinks is
 // reachable (sinks included), as a boolean mask indexed by node.
-func (g *Digraph) CoReachableTo(sinks ...int) []bool {
-	seen := make([]bool, len(g.out))
-	stack := make([]int, 0, len(sinks))
-	for _, s := range sinks {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
+func (g *Digraph) CoReachableTo(sinks ...int) []bool { return flatten(g.in).reachable(sinks) }
+
+// DisjointSets is a union-find forest over nodes 0..len-1: each entry is a
+// node's parent, a root being its own parent.
+type DisjointSets []int32
+
+// NewDisjointSets returns n singleton sets.
+func NewDisjointSets(n int) DisjointSets {
+	s := make(DisjointSets, n)
+	for x := range s {
+		s[x] = int32(x)
 	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.in[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
+	return s
 }
+
+// Find returns the root of x's set, halving the path on the way.
+func (s DisjointSets) Find(x int32) int32 {
+	for s[x] != x {
+		s[x] = s[s[x]]
+		x = s[x]
+	}
+	return x
+}
+
+// Union merges the sets of a and b.
+func (s DisjointSets) Union(a, b int32) { s[s.Find(a)] = s.Find(b) }
 
 // UndirectedComponents partitions the nodes into weakly connected components,
 // ignoring edge direction. Component ids are dense, assigned in increasing
-// order of the smallest node index they contain. Used by cluster extraction
-// ("a cluster is a maximal connected network of combinational logic
-// elements", §7).
+// order of the smallest node index they contain — the numbering cluster
+// extraction gives its clusters ("a cluster is a maximal connected network
+// of combinational logic elements", §7).
 func (g *Digraph) UndirectedComponents() (comp []int, count int) {
 	n := len(g.out)
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
+	sets := NewDisjointSets(n)
+	for u, vs := range g.out {
+		for _, v := range vs {
+			sets.Union(int32(u), int32(v))
+		}
 	}
-	var stack []int
-	for s := 0; s < n; s++ {
-		if comp[s] != -1 {
-			continue
+	comp = make([]int, n)
+	byRoot := make([]int, n)
+	for i := range byRoot {
+		byRoot[i] = -1
+	}
+	for v := range comp {
+		r := sets.Find(int32(v))
+		if byRoot[r] < 0 {
+			byRoot[r] = count
+			count++
 		}
-		comp[s] = count
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.out[u] {
-				if comp[v] == -1 {
-					comp[v] = count
-					stack = append(stack, v)
-				}
-			}
-			for _, v := range g.in[u] {
-				if comp[v] == -1 {
-					comp[v] = count
-					stack = append(stack, v)
-				}
-			}
-		}
-		count++
+		comp[v] = byRoot[r]
 	}
 	return comp, count
 }

@@ -352,3 +352,33 @@ func TestInOut(t *testing.T) {
 		t.Fatal("counts wrong")
 	}
 }
+
+func TestMarkReachableStampsWithoutClearing(t *testing.T) {
+	g := flatten(mk(5, [][2]int{{0, 1}, {1, 2}, {3, 4}}).out)
+	mark := make([]int32, g.N())
+	stack := g.MarkReachable(mark, 1, nil, 0)
+	stack = g.MarkReachable(mark, 2, stack, 3)
+	want := []int32{1, 1, 1, 2, 2}
+	for v := range want {
+		if mark[v] != want[v] {
+			t.Fatalf("marks = %v, want %v", mark, want)
+		}
+	}
+	// A node stamped by an earlier query is still walked by a later one.
+	g.MarkReachable(mark, 3, stack, 1)
+	if mark[1] != 3 || mark[2] != 3 || mark[0] != 1 {
+		t.Fatalf("marks after third query = %v", mark)
+	}
+}
+
+func TestDisjointSets(t *testing.T) {
+	s := NewDisjointSets(5)
+	s.Union(0, 3)
+	s.Union(4, 3)
+	if s.Find(0) != s.Find(4) {
+		t.Fatal("0 and 4 not joined through 3")
+	}
+	if s.Find(1) == s.Find(0) || s.Find(1) == s.Find(2) {
+		t.Fatal("singletons merged")
+	}
+}

@@ -172,6 +172,10 @@ type Engine struct {
 	instIdx    map[string]int
 	arcsByInst map[string][]arcRef
 	arcsByTo   map[int][]arcRef
+	// cellArcs maps, per library cell, each (from, to) pin pair to the
+	// index of the cell's first arc between them, filled as reevalArc
+	// meets the cell.
+	cellArcs map[*celllib.Cell]map[[2]string]int
 
 	// sharedCD marks that the analyzer's CompiledDesign is shared read-only
 	// with other engines (opened through OpenShared or published to a
@@ -267,7 +271,7 @@ func (e *Engine) unshare() error {
 		return nil
 	}
 	cd2 := e.an.CD.CloneArcs()
-	calc, err := delaycalc.New(e.an.Lib, e.design, e.opts.Delay)
+	calc, err := delaycalc.NewIndexed(e.an.Lib, e.design, e.an.CD.Calc.Index(), e.opts.Delay)
 	if err != nil {
 		return err
 	}
@@ -461,8 +465,9 @@ func (e *Engine) delayLocal(name string) bool {
 }
 
 // resizeCompatible reports whether swapping the instance's cell for `to`
-// preserves the elaborated network's shape (same pins, same arcs — only
-// the delay expressions and input capacitances may differ).
+// preserves the elaborated network's shape (same pins in the same order,
+// same arcs — only the delay expressions and input capacitances may
+// differ).
 func (e *Engine) resizeCompatible(name, to string) bool {
 	if !e.delayLocal(name) {
 		return false
@@ -479,12 +484,10 @@ func sameInterface(a, b *celllib.Cell) bool {
 	if len(a.Pins) != len(b.Pins) || len(a.Arcs) != len(b.Arcs) {
 		return false
 	}
-	pins := make(map[string]celllib.PinDir, len(a.Pins))
-	for _, p := range a.Pins {
-		pins[p.Name] = p.Dir
-	}
-	for _, p := range b.Pins {
-		if d, ok := pins[p.Name]; !ok || d != p.Dir {
+	// Pins must also come in the same order: the net index lays an
+	// instance's connections out by pin position, and a swap keeps it.
+	for k := range a.Pins {
+		if a.Pins[k].Name != b.Pins[k].Name || a.Pins[k].Dir != b.Pins[k].Dir {
 			return false
 		}
 	}
@@ -702,12 +705,18 @@ func (e *Engine) reevalArc(r arcRef) {
 	if cell == nil {
 		return
 	}
-	for ai := range cell.Arcs {
-		ca := &cell.Arcs[ai]
-		if ca.From == a.FromPin && ca.To == a.ToPin {
-			a.D = e.an.CD.Calc.ArcDelays(inst, ca)
-			return
+	// A lookup rather than a scan of the cell's arcs: re-evaluating every
+	// arc of a wide cell (a rolled-up module) would otherwise be quadratic.
+	first, ok := e.cellArcs[cell]
+	if !ok {
+		first = make(map[[2]string]int, len(cell.Arcs))
+		for ai := len(cell.Arcs) - 1; ai >= 0; ai-- {
+			first[[2]string{cell.Arcs[ai].From, cell.Arcs[ai].To}] = ai
 		}
+		e.cellArcs[cell] = first
+	}
+	if ai, ok := first[[2]string{a.FromPin, a.ToPin}]; ok {
+		a.D = e.an.CD.Calc.ArcDelaysAt(inst, &cell.Arcs[ai], a.To)
 	}
 }
 
@@ -825,6 +834,7 @@ func (e *Engine) buildIndexes() {
 	}
 	e.arcsByInst = map[string][]arcRef{}
 	e.arcsByTo = map[int][]arcRef{}
+	e.cellArcs = map[*celllib.Cell]map[[2]string]int{}
 	for ci, cl := range e.an.CD.Network.Clusters {
 		for ai := range cl.Arcs {
 			a := &cl.Arcs[ai]

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,6 +84,41 @@ func TestResizeDifferentInterfaceFallsBack(t *testing.T) {
 	if out.FallbackReason != "topology change" {
 		t.Fatalf("fallback reason %q", out.FallbackReason)
 	}
+}
+
+// A cell with the same pins and arcs but its pins in another order is not
+// a drop-in swap: the net index holds an instance's nets by pin position.
+func TestResizeReorderedPinsFallsBack(t *testing.T) {
+	base := celllib.Default()
+	lib := celllib.NewLibrary("reordered")
+	for _, name := range base.Names() {
+		if err := lib.Add(base.Cell(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inv := *base.Cell("INV_X1")
+	inv.Name = "INV_X1_YA"
+	inv.Pins = slices.Clone(inv.Pins)
+	slices.Reverse(inv.Pins)
+	if err := lib.Add(&inv); err != nil {
+		t.Fatal(err)
+	}
+	d, err := netlist.ParseString(pipeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Open(lib, d, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := eng.Apply(Edit{Op: Resize, Inst: "g2", To: "INV_X1_YA"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Incremental || out.FallbackReason != "topology change" {
+		t.Fatalf("pin-reordering resize: incremental %v, reason %q", out.Incremental, out.FallbackReason)
+	}
+	verifyAgainstScratch(t, lib, eng, "after pin-reordering resize")
 }
 
 func TestSyncEditFallsBack(t *testing.T) {

@@ -153,25 +153,28 @@ type Stats struct {
 	Latches int // synchronising elements (leaf, flattened count)
 }
 
-// Stats computes design statistics against the given library.
-func (d *Design) Stats(lib *celllib.Library) Stats {
-	var s Stats
-	s.Nets = len(d.NetNames())
+// Stats computes design statistics against the given library. Module
+// instances are counted through their definitions even when lib also
+// holds the module's rolled-up super-cell.
+func (d *Design) Stats(lib *celllib.Library) Stats { return d.stats(lib, len(d.NetNames())) }
+
+func (d *Design) stats(lib *celllib.Library, nets int) Stats {
+	s := Stats{Nets: nets}
 	var count func(des *Design, mult int)
 	count = func(des *Design, mult int) {
 		for _, inst := range des.Instances {
-			if c := lib.Cell(inst.Ref); c != nil {
-				s.Cells += mult
-				if c.IsSync() {
-					s.Latches += mult
-				}
-				continue
-			}
 			if m, ok := d.Modules[inst.Ref]; ok {
 				if des == d {
 					s.Modules++
 				}
 				count(m, mult)
+				continue
+			}
+			if c := lib.Cell(inst.Ref); c != nil {
+				s.Cells += mult
+				if c.IsSync() {
+					s.Latches += mult
+				}
 			}
 		}
 	}
@@ -186,7 +189,18 @@ func (d *Design) Stats(lib *celllib.Library) Stats {
 //   - clock/port/net name collisions are rejected,
 //   - submodules are purely combinational and non-nested,
 //   - port timing references name declared clocks.
+//
+// Errors are deterministic: the first offending instance in declaration
+// order, and within it the first offending pin in pin order, connections
+// to unknown pins in name order.
 func (d *Design) Validate(lib *celllib.Library) error {
+	return d.ValidateIndex(lib, NewIndex(d, lib))
+}
+
+// ValidateIndex is Validate over idx, which must be NewIndex(d, lib) or
+// an index built equally: callers that go on to use the index build it
+// once.
+func (d *Design) ValidateIndex(lib *celllib.Library, idx *Index) error {
 	if d.Name == "" {
 		return fmt.Errorf("netlist: design with empty name")
 	}
@@ -216,7 +230,13 @@ func (d *Design) Validate(lib *celllib.Library) error {
 			return fmt.Errorf("design %s: port %q references unknown clock %q", d.Name, p.Name, p.RefClock)
 		}
 	}
-	for name, m := range d.Modules {
+	modNames := make([]string, 0, len(d.Modules))
+	for name := range d.Modules {
+		modNames = append(modNames, name)
+	}
+	sort.Strings(modNames)
+	for _, name := range modNames {
+		m := d.Modules[name]
 		if name != m.Name {
 			return fmt.Errorf("design %s: module map key %q != module name %q", d.Name, name, m.Name)
 		}
@@ -235,12 +255,20 @@ func (d *Design) Validate(lib *celllib.Library) error {
 				return fmt.Errorf("design %s: module %s contains synchronising element %s (%s)", d.Name, name, inst.Name, inst.Ref)
 			}
 		}
-		if err := m.checkConnectivity(lib, nil); err != nil {
+		if err := m.checkConnectivity(lib, NewIndex(m, lib)); err != nil {
 			return fmt.Errorf("design %s: module %s: %w", d.Name, name, err)
 		}
 	}
-	return d.checkConnectivity(lib, clockNames)
+	return d.checkConnectivity(lib, idx)
 }
+
+// Driver codes of checkConnectivity's per-net driver table. An instance
+// output is recorded by its pin slot, which is never negative.
+const (
+	noDriver    = -1
+	clockDriver = -2
+	inputDriver = -3
+)
 
 // checkConnectivity verifies instance references, connection completeness
 // and driver rules for one level of the hierarchy. Nets normally have at
@@ -248,107 +276,102 @@ func (d *Design) Validate(lib *celllib.Library) error {
 // are all clocked tristate drivers ("Clocked tristate drivers are modeled
 // in the same way as transparent latches", §5) may have any number of
 // them, on the assumption that the enabling clock phases are disjoint.
-func (d *Design) checkConnectivity(lib *celllib.Library, clockNets map[string]bool) error {
-	instNames := map[string]bool{}
-	drivers := map[string]string{} // net -> driver description
-	triOnly := map[string]bool{}   // net -> all drivers so far are tristate
-	for n := range clockNets {
-		drivers[n] = "clock generator " + n
+// Clock nets are driven by their clock generators; modules declare none.
+func (d *Design) checkConnectivity(lib *celllib.Library, idx *Index) error {
+	driver := make([]int32, len(idx.Nets)) // latest driver of each net
+	for n := range driver {
+		driver[n] = noDriver
+	}
+	triOnly := make([]bool, len(idx.Nets)) // every instance driver so far is tristate
+	for _, c := range d.Clocks {
+		driver[idx.NetIdx[c.Name]] = clockDriver
 	}
 	for _, p := range d.Ports {
 		if p.Dir == Input {
-			drivers[p.Name] = "primary input " + p.Name
+			driver[idx.NetIdx[p.Name]] = inputDriver
 		}
 	}
-	for _, inst := range d.Instances {
+	modPins := map[string][]celllib.Pin{}
+	pinName := func(slot int32) (*Instance, string) {
+		i := idx.InstanceOf(slot)
+		inst := &d.Instances[i]
+		pins, _ := d.pins(lib.Cell(inst.Ref), inst.Ref, modPins)
+		return inst, pins[slot-idx.PinStart[i]].Name
+	}
+	describe := func(drv int32, net int32) string {
+		switch drv {
+		case clockDriver:
+			return "clock generator " + idx.Nets[net]
+		case inputDriver:
+			return "primary input " + idx.Nets[net]
+		}
+		inst, pin := pinName(drv)
+		return fmt.Sprintf("instance %s pin %s", inst.Name, pin)
+	}
+
+	instNames := make(map[string]struct{}, len(d.Instances))
+	var undriven []int32 // input slots read before their net had a driver
+	for i := range d.Instances {
+		inst := &d.Instances[i]
 		if inst.Name == "" {
 			return fmt.Errorf("instance with empty name (ref %q)", inst.Ref)
 		}
-		if instNames[inst.Name] {
+		if _, dup := instNames[inst.Name]; dup {
 			return fmt.Errorf("duplicate instance %q", inst.Name)
 		}
-		instNames[inst.Name] = true
+		instNames[inst.Name] = struct{}{}
 
-		var inputs, outputs []string
-		if c := lib.Cell(inst.Ref); c != nil {
-			inputs, outputs = c.Inputs(), c.Outputs()
-		} else if m, ok := d.Modules[inst.Ref]; ok {
-			for _, p := range m.Ports {
-				if p.Dir == Input {
-					inputs = append(inputs, p.Name)
-				} else {
-					outputs = append(outputs, p.Name)
-				}
-			}
-		} else {
+		cell := lib.Cell(inst.Ref)
+		pins, ok := d.pins(cell, inst.Ref, modPins)
+		if !ok {
 			return fmt.Errorf("instance %s references unknown cell/module %q", inst.Name, inst.Ref)
 		}
-		known := map[string]bool{}
-		for _, p := range inputs {
-			known[p] = true
-		}
-		for _, p := range outputs {
-			known[p] = true
-		}
-		for pin, net := range inst.Conns {
-			if !known[pin] {
-				return fmt.Errorf("instance %s (%s): unknown pin %q", inst.Name, inst.Ref, pin)
+		start, slots := idx.PinStart[i], idx.Slots(i)
+		connected := 0
+		for k, net := range slots {
+			if net < 0 {
+				continue
 			}
-			if net == "" {
-				return fmt.Errorf("instance %s (%s): pin %q connected to empty net name", inst.Name, inst.Ref, pin)
+			connected++
+			if idx.Nets[net] == "" {
+				return fmt.Errorf("instance %s (%s): pin %q connected to empty net name", inst.Name, inst.Ref, pins[k].Name)
 			}
 		}
-		for _, pin := range inputs {
-			if _, ok := inst.Conns[pin]; !ok {
-				return fmt.Errorf("instance %s (%s): input pin %q unconnected", inst.Name, inst.Ref, pin)
+		if connected < len(inst.Conns) {
+			return fmt.Errorf("instance %s (%s): unknown pin %q", inst.Name, inst.Ref, UnknownPin(inst, pins))
+		}
+		for k, net := range slots {
+			if net < 0 && pins[k].Dir == celllib.In {
+				return fmt.Errorf("instance %s (%s): input pin %q unconnected", inst.Name, inst.Ref, pins[k].Name)
 			}
 		}
-		isTri := false
-		if c := lib.Cell(inst.Ref); c != nil && c.Kind == celllib.Tristate {
-			isTri = true
-		}
-		for _, pin := range outputs {
-			net, ok := inst.Conns[pin]
-			if !ok {
-				continue // dangling outputs are permitted
-			}
-			if prev, taken := drivers[net]; taken {
-				if !(isTri && triOnly[net]) {
-					return fmt.Errorf("net %q driven by both %s and instance %s pin %s", net, prev, inst.Name, pin)
+		isTri := cell != nil && cell.Kind == celllib.Tristate
+		for k, net := range slots {
+			switch {
+			case net < 0: // dangling outputs are permitted
+			case pins[k].Dir == celllib.In:
+				if driver[net] == noDriver {
+					undriven = append(undriven, start+int32(k))
 				}
-			}
-			drivers[net] = fmt.Sprintf("instance %s pin %s", inst.Name, pin)
-			if _, seen := triOnly[net]; !seen {
-				triOnly[net] = isTri
-			} else {
-				triOnly[net] = triOnly[net] && isTri
+			case driver[net] == noDriver:
+				driver[net], triOnly[net] = start+int32(k), isTri
+			case isTri && triOnly[net]:
+				driver[net] = start + int32(k)
+			default:
+				return fmt.Errorf("net %q driven by both %s and instance %s pin %s", idx.Nets[net], describe(driver[net], net), inst.Name, pins[k].Name)
 			}
 		}
 	}
 	// Every net that is consumed must have a driver.
-	for _, inst := range d.Instances {
-		var inputs []string
-		if c := lib.Cell(inst.Ref); c != nil {
-			inputs = c.Inputs()
-		} else if m, ok := d.Modules[inst.Ref]; ok {
-			for _, p := range m.Ports {
-				if p.Dir == Input {
-					inputs = append(inputs, p.Name)
-				}
-			}
-		}
-		for _, pin := range inputs {
-			net := inst.Conns[pin]
-			if _, ok := drivers[net]; !ok {
-				return fmt.Errorf("instance %s pin %s: net %q has no driver", inst.Name, pin, net)
-			}
+	for _, s := range undriven {
+		if net := idx.PinNet[s]; driver[net] == noDriver {
+			inst, pin := pinName(s)
+			return fmt.Errorf("instance %s pin %s: net %q has no driver", inst.Name, pin, idx.Nets[net])
 		}
 	}
 	for _, p := range d.Ports {
-		if p.Dir == Output {
-			if _, ok := drivers[p.Name]; !ok {
-				return fmt.Errorf("primary output %q has no driver", p.Name)
-			}
+		if p.Dir == Output && driver[idx.NetIdx[p.Name]] == noDriver {
+			return fmt.Errorf("primary output %q has no driver", p.Name)
 		}
 	}
 	return nil

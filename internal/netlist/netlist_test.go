@@ -32,25 +32,26 @@ func TestValidateGood(t *testing.T) {
 	}
 }
 
+// TestValidateRejections pins every rejection's full message.
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Design)
 		want   string
 	}{
-		{"unknown ref", func(d *Design) { d.Instances[0].Ref = "NOPE" }, "unknown cell/module"},
-		{"unknown pin", func(d *Design) { d.Instances[0].Conns["Z"] = "n9" }, "unknown pin"},
-		{"unconnected input", func(d *Design) { delete(d.Instances[0].Conns, "A") }, "unconnected"},
-		{"double driver", func(d *Design) { d.Instances[0].Conns["Y"] = "IN" }, "driven by both"},
-		{"no driver", func(d *Design) { d.Instances[0].Conns["A"] = "ghost" }, "no driver"},
+		{"unknown ref", func(d *Design) { d.Instances[0].Ref = "NOPE" }, `instance g1 references unknown cell/module "NOPE"`},
+		{"unknown pin", func(d *Design) { d.Instances[0].Conns["Z"] = "n9" }, `instance g1 (INV_X1): unknown pin "Z"`},
+		{"unconnected input", func(d *Design) { delete(d.Instances[0].Conns, "A") }, `instance g1 (INV_X1): input pin "A" unconnected`},
+		{"double driver", func(d *Design) { d.Instances[0].Conns["Y"] = "IN" }, `net "IN" driven by both primary input IN and instance g1 pin Y`},
+		{"no driver", func(d *Design) { d.Instances[0].Conns["A"] = "ghost" }, `instance g1 pin A: net "ghost" has no driver`},
 		{"dup instance", func(d *Design) {
 			d.AddInstance(Instance{Name: "g1", Ref: "INV_X1", Conns: map[string]string{"A": "IN", "Y": "x"}})
-		}, "duplicate instance"},
-		{"dup clock", func(d *Design) { d.AddClock(d.Clocks[0]) }, "duplicate clock"},
-		{"dup port", func(d *Design) { d.AddPort(Port{Name: "IN", Dir: Input}) }, "duplicate port"},
-		{"port clock collision", func(d *Design) { d.AddPort(Port{Name: "phi1", Dir: Input}) }, "collides with clock"},
-		{"bad port clock ref", func(d *Design) { d.Ports[0].RefClock = "nope" }, "unknown clock"},
-		{"empty instance name", func(d *Design) { d.Instances[0].Name = "" }, "empty name"},
+		}, `duplicate instance "g1"`},
+		{"dup clock", func(d *Design) { d.AddClock(d.Clocks[0]) }, `design small: duplicate clock "phi1"`},
+		{"dup port", func(d *Design) { d.AddPort(Port{Name: "IN", Dir: Input}) }, `design small: duplicate port "IN"`},
+		{"port clock collision", func(d *Design) { d.AddPort(Port{Name: "phi1", Dir: Input}) }, `design small: port "phi1" collides with clock net`},
+		{"bad port clock ref", func(d *Design) { d.Ports[0].RefClock = "nope" }, `design small: port "IN" references unknown clock "nope"`},
+		{"empty instance name", func(d *Design) { d.Instances[0].Name = "" }, `instance with empty name (ref "INV_X1")`},
 	}
 	for _, c := range cases {
 		d := smallDesign()
@@ -60,8 +61,23 @@ func TestValidateRejections(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestValidateErrorDeterministic checks that an instance with several bad
+// pins always reports the same one: unknown pins in name order.
+func TestValidateErrorDeterministic(t *testing.T) {
+	const want = `instance g1 (INV_X1): unknown pin "P"`
+	for i := 0; i < 100; i++ {
+		d := smallDesign()
+		for _, pin := range []string{"R", "Q", "P"} {
+			d.Instances[0].Conns[pin] = "n9"
+		}
+		if err := d.Validate(lib); err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", i, err, want)
 		}
 	}
 }

@@ -66,7 +66,7 @@ type JSONPlan struct {
 
 // BuildJSON assembles the export structure.
 func BuildJSON(a *core.Analyzer, rep *core.Report) *JSONResult {
-	st := a.Design.Stats(a.Lib)
+	st := a.CD.Stats
 	out := &JSONResult{
 		Design: a.Design.Name, OK: rep.OK, WorstPs: int64(rep.WorstSlack()),
 		Cells: st.Cells, Nets: st.Nets,

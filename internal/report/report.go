@@ -91,7 +91,7 @@ func fmtDur(d time.Duration) string {
 // Summary prints the analysis verdict, the worst slack and per-terminal
 // counts.
 func Summary(w io.Writer, a *core.Analyzer, rep *core.Report) {
-	st := a.Design.Stats(a.Lib)
+	st := a.CD.Stats
 	fmt.Fprintf(w, "design %s: %d cells, %d nets, %d synchronising elements (%d generic)\n",
 		a.Design.Name, st.Cells, st.Nets, st.Latches, len(a.CD.Elems))
 	fmt.Fprintf(w, "clusters: %d, analysis passes: %d\n", len(a.CD.Clusters), a.CD.TotalPasses())

@@ -293,3 +293,42 @@ end
 		t.Fatalf("path shape: %+v", p)
 	}
 }
+
+// TestHierarchicalReportCells checks that reports count the leaf cells of
+// a hierarchical design through its modules, as Table 1 does, although
+// the analyzer's resolved library holds each module as one super-cell.
+func TestHierarchicalReportCells(t *testing.T) {
+	lib := celllib.Default()
+	d := workload.SM1H()
+	st := d.Stats(lib)
+	if st.Cells != 116 || st.Modules != 1 {
+		t.Fatalf("SM1H stats = %+v, want 116 cells in 1 module", st)
+	}
+	a, err := core.Load(lib, d, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.IdentifySlowPaths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WriteJSON(&sb, a, rep); err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Cells int `json:"cells"`
+		Nets  int `json:"nets"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Cells != st.Cells || got.Nets != st.Nets {
+		t.Fatalf("JSON report cells=%d nets=%d, want %d and %d", got.Cells, got.Nets, st.Cells, st.Nets)
+	}
+	sb.Reset()
+	Summary(&sb, a, rep)
+	if want := "116 cells"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("summary lacks %q:\n%s", want, sb.String())
+	}
+}
