@@ -44,17 +44,26 @@ type daemon struct {
 }
 
 // startDaemon re-execs the test binary as a hummingbirdd with the given
-// extra flags and waits until /healthz answers.
+// extra flags and waits until /healthz answers. Without an -addr among
+// the extra flags it listens on a fresh loopback port.
 func startDaemon(t *testing.T, extra ...string) *daemon {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	args := extra
+	addr := ""
+	for i := 0; i+1 < len(extra); i++ {
+		if extra[i] == "-addr" {
+			addr = extra[i+1]
+		}
 	}
-	addr := l.Addr().String()
-	l.Close()
-
-	args := append([]string{"-addr", addr}, extra...)
+	if addr == "" {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr = l.Addr().String()
+		l.Close()
+		args = append([]string{"-addr", addr}, extra...)
+	}
 	argsJSON, err := json.Marshal(args)
 	if err != nil {
 		t.Fatal(err)
