@@ -916,11 +916,12 @@ func retryAfterSeconds(d time.Duration) int {
 	return n
 }
 
-// quarantine removes the session from service and records the diagnostic;
-// its journal is set aside for post-mortem rather than replayed into the
-// next process. Callers must not hold any session mutex: the target's
-// journal writer is detached under ss.mu (handlers mutate ss.jw under the
-// same lock) before it is closed; the engine state is abandoned as-is.
+// quarantine removes the session from service, if it is served, and
+// records the diagnostic; its journal is set aside (best-effort) for
+// post-mortem rather than replayed into the next process. Callers must
+// not hold any session mutex: the target's journal writer is detached
+// under ss.mu (handlers mutate ss.jw under the same lock) before it is
+// closed; the engine state is abandoned as-is.
 func (s *server) quarantine(id, diag string) {
 	s.mu.Lock()
 	ss := s.sessions[id]
@@ -939,23 +940,6 @@ func (s *server) quarantine(id, diag string) {
 			jw.Close()
 		}
 	}
-	s.quarantineJournalFile(id)
-}
-
-// quarantineUnserved records a quarantine for an id with no live session
-// (replay or rewrite failure during recovery): diagnostic plus journal
-// set-aside, nothing to detach.
-func (s *server) quarantineUnserved(id, diag string) {
-	s.mu.Lock()
-	s.quarantined[id] = diag
-	s.mu.Unlock()
-	mQuarantined.Inc()
-	s.flight.Record(flight.Error, "session.quarantine", id, "", "%s", diag)
-	s.quarantineJournalFile(id)
-}
-
-// quarantineJournalFile renames the id's journal aside (best-effort).
-func (s *server) quarantineJournalFile(id string) {
 	if s.cfg.journal == nil {
 		return
 	}
@@ -1093,24 +1077,7 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	} else {
 		mCacheMisses.Inc()
 		var err error
-		if cd, release := s.compile.acquire(key); cd != nil {
-			// Another session already compiled this exact design+adjustments:
-			// share its CompiledDesign read-only and skip elaboration. The
-			// engine gets only a private AnalysisState.
-			sharedDesign = true
-			eng, err = incremental.OpenSharedContext(r.Context(), s.lib, design, opts, cd, release)
-		} else {
-			eng, err = incremental.OpenContext(r.Context(), s.lib, design, opts)
-			if err == nil {
-				// Publish the freshly compiled design so the next same-key
-				// open shares it. If a racing open published first, this
-				// engine simply stays private.
-				if release, ok := s.compile.publish(key, eng.CompiledDesign()); ok {
-					eng.ShareCompiled(release)
-				}
-			}
-		}
-		if err != nil {
+		if eng, sharedDesign, err = s.openEngine(r.Context(), key, design, opts); err != nil {
 			writeAnalysisError(w, "open design", err)
 			return
 		}
@@ -1163,48 +1130,91 @@ func (s *server) recoverSessions() int {
 		fmt.Fprintf(s.cfg.errLog, "hummingbirdd: list journals: %v\n", err)
 		return 0
 	}
-	restored, maxID := 0, 0
+	restored := 0
 	for _, id := range ids {
-		// Every journal on disk claims its id — replayable or not — so a
-		// freshly allocated session id can never collide with one that
-		// ends up quarantined below. Only ids carrying this replica's own
-		// prefix advance the allocator; adopted foreign journals live in a
-		// different namespace.
-		if rest, ok := strings.CutPrefix(id, s.sidPrefix()); ok {
-			if n, err := strconv.Atoi(rest); err == nil && n > maxID {
-				maxID = n
-			}
-		}
-		ss, req, batches, err := s.replaySession(id)
-		if err != nil {
-			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: replay %s: %v (journal quarantined)\n", id, err)
-			s.quarantineUnserved(id, fmt.Sprintf("journal replay failed: %v", err))
+		if _, err := s.restore(id, nil, false); err != nil {
+			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: restore %s: %v\n", id, err)
 			continue
 		}
-		// Rewrite a compact journal for the restored session: the open
-		// record plus every acknowledged batch, dropping any torn tail.
-		// The rewrite is atomic (temp file + rename); if it fails, the
-		// session is quarantined rather than served without durability.
-		jw, err := s.cfg.journal.Rewrite(id, req, batches)
-		if err != nil {
-			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: rewrite journal %s: %v (session quarantined)\n", id, err)
-			s.quarantineUnserved(id, fmt.Sprintf("journal rewrite failed: %v", err))
-			continue
-		}
-		ss.jw = jw
-		s.mu.Lock()
-		s.sessions[id] = ss
-		s.mu.Unlock()
 		mReplayed.Inc()
 		restored++
 	}
-	s.mu.Lock()
-	if maxID > s.nextID {
-		s.nextID = maxID
-	}
-	s.mu.Unlock()
 	s.ready.Store(true)
 	return restored
+}
+
+// errSessionLimit refuses a session on a replica at -max-sessions.
+var errSessionLimit = errors.New("session limit reached")
+
+// restore brings one journaled session into service under its id:
+// replay, rewrite the journal compacted (the open record plus every
+// acknowledged batch, dropping any torn tail), attach replication toward
+// peers, install. A journal that fails to replay or rewrite is
+// quarantined rather than served without durability. An adopt is bounded
+// by -max-sessions and promotes the standby journal when no live one
+// exists; if the limit refuses the install, a promoted journal goes back
+// to standby, so the refusal leaves the disk as it found it. Returns the
+// number of journal records restored.
+func (s *server) restore(id string, peers []fleet.Member, adopt bool) (int, error) {
+	// Every journal claims its id — restorable or not — so a freshly
+	// allocated id never collides with one quarantined below. Only ids
+	// with this replica's own prefix move the allocator; foreign ids
+	// live in another namespace.
+	s.mu.Lock()
+	if rest, ok := strings.CutPrefix(id, s.sidPrefix()); ok {
+		if n, err := strconv.Atoi(rest); err == nil && n > s.nextID {
+			s.nextID = n
+		}
+	}
+	full := len(s.sessions) >= s.cfg.maxSessions
+	s.mu.Unlock()
+	livePath := s.cfg.journal.Path(id)
+	promoted := false
+	if adopt {
+		if full {
+			return 0, errSessionLimit
+		}
+		if _, err := os.Stat(livePath); err != nil {
+			if err := s.standby.promote(id, livePath); err != nil {
+				return 0, fmt.Errorf("promote standby: %w", err)
+			}
+			promoted = true
+		}
+	}
+	ss, req, batches, err := s.replaySession(id)
+	if err != nil {
+		s.quarantine(id, fmt.Sprintf("journal replay failed: %v", err))
+		return 0, fmt.Errorf("replay: %w (journal quarantined)", err)
+	}
+	jw, err := s.cfg.journal.Rewrite(id, req, batches)
+	if err != nil {
+		ss.eng.ReleaseShared()
+		s.quarantine(id, fmt.Sprintf("journal rewrite failed: %v", err))
+		return 0, fmt.Errorf("rewrite: %w (journal quarantined)", err)
+	}
+	ss.jw = jw
+	// Replication is attached before the session is visible, so no
+	// committed frame can miss the streams.
+	s.attachStreams(id, jw, peers)
+	s.mu.Lock()
+	if adopt && len(s.sessions) >= s.cfg.maxSessions {
+		s.mu.Unlock()
+		s.detachStream(id)
+		jw.Close()
+		ss.eng.ReleaseShared()
+		if promoted {
+			if err := s.standby.demote(id, livePath); err != nil {
+				fmt.Fprintf(s.cfg.errLog, "hummingbirdd: return %s to standby: %v\n", id, err)
+			}
+		}
+		return 0, errSessionLimit
+	}
+	s.sessions[id] = ss
+	s.mu.Unlock()
+	// A warm compile hold has served its purpose: the replay acquired its
+	// own reference.
+	s.dropWarm(id)
+	return len(batches) + 1, nil
 }
 
 // replaySession rebuilds one session from its journal records, returning
@@ -1226,21 +1236,11 @@ func (s *server) replaySession(id string) (*sess, *openRequest, []json.RawMessag
 	// Route replay through the compile cache exactly like a live open:
 	// recovery and adoption then share CompiledDesigns across sessions —
 	// and find the one a standby pre-warm already built (replication.go).
-	key := incremental.StateKey(design, opts.Adjustments)
-	var eng *incremental.Engine
-	if cd, release := s.compile.acquire(key); cd != nil {
-		eng, err = incremental.OpenShared(s.lib, design, opts, cd, release)
-	} else {
-		eng, err = incremental.Open(s.lib, design, opts)
-		if err == nil {
-			if release, ok := s.compile.publish(key, eng.CompiledDesign()); ok {
-				eng.ShareCompiled(release)
-			}
-		}
-	}
+	eng, _, err := s.openEngine(nil, incremental.StateKey(design, opts.Adjustments), design, opts)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("reopen design: %w", err)
 	}
+	ss := &sess{id: id, eng: eng, created: time.Now(), designKey: fleet.DesignKey(recs[0].Body)}
 	var batches []json.RawMessage
 	for i, rec := range recs[1:] {
 		if rec.Kind != journal.KindEdits {
@@ -1261,29 +1261,27 @@ func (s *server) replaySession(id string) (*sess, *openRequest, []json.RawMessag
 		if _, err := eng.Apply(edits...); err != nil {
 			return nil, nil, nil, fmt.Errorf("record %d: re-apply: %w", i+1, err)
 		}
+		ss.edits += len(ejs)
 		batches = append(batches, rec.Body)
-	}
-	ss := &sess{id: id, eng: eng, created: time.Now()}
-	ss.designKey = fleet.DesignKey(recs[0].Body)
-	ss.edits = 0
-	for _, b := range batches {
-		var ejs []editJSON
-		if json.Unmarshal(b, &ejs) == nil {
-			ss.edits += len(ejs)
-		}
 	}
 	ss.rememberSlacks()
 	return ss, &req, batches, nil
 }
 
-func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
+// sessionIDs snapshots the ids of the served sessions, sorted.
+func (s *server) sessionIDs() []string {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	ids := make([]string, 0, len(s.sessions))
 	for id := range s.sessions {
 		ids = append(ids, id)
 	}
-	s.mu.Unlock()
 	sort.Strings(ids)
+	return ids
+}
+
+func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
+	ids := s.sessionIDs()
 	out := make([]map[string]any, 0, len(ids))
 	for _, id := range ids {
 		if ss := s.session(id); ss != nil {
@@ -1846,6 +1844,29 @@ func (c *compileCache) releaseFunc(key string) func() {
 			delete(c.m, key)
 		}
 	}
+}
+
+// openEngine opens an engine through the compile cache, keyed by the
+// design's StateKey; live opens, journal replay and standby pre-warm all
+// come here. When a session already compiled this exact design and
+// adjustments, the engine shares
+// that CompiledDesign read-only, skips elaboration and gets only a
+// private AnalysisState (shared is true). Otherwise the engine compiles
+// its own and publishes it for the next same-key open; if a racing open
+// published first, this engine stays private. A nil ctx makes the open
+// uninterruptible.
+func (s *server) openEngine(ctx context.Context, key string, design *netlist.Design, opts core.Options) (eng *incremental.Engine, shared bool, err error) {
+	if cd, release := s.compile.acquire(key); cd != nil {
+		eng, err = incremental.OpenSharedContext(ctx, s.lib, design, opts, cd, release)
+		return eng, true, err
+	}
+	eng, err = incremental.OpenContext(ctx, s.lib, design, opts)
+	if err == nil {
+		if release, ok := s.compile.publish(key, eng.CompiledDesign()); ok {
+			eng.ShareCompiled(release)
+		}
+	}
+	return eng, false, err
 }
 
 // designs counts the distinct shared compiled designs.

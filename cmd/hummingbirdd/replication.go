@@ -71,6 +71,14 @@ func (st *standbyStore) path(id string) string {
 	return filepath.Join(st.dir, id+".journal")
 }
 
+// nextSeq returns the next expected sequence for the session's standby
+// journal (see loadNext).
+func (st *standbyStore) nextSeq(id string) int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.loadNext(id)
+}
+
 // loadNext returns the next expected sequence for the session's standby
 // journal; on first touch after a restart it recounts the intact frames
 // on disk. Caller holds st.mu.
@@ -159,15 +167,27 @@ func (st *standbyStore) sessionIDs() []string {
 // the ordinary replay path can restore the session. Returns
 // os.ErrNotExist when there is no standby for the id.
 func (st *standbyStore) promote(id, livePath string) error {
+	return st.rename(id, st.path(id), livePath)
+}
+
+// demote moves a promoted journal back to standby (an adopt the session
+// limit refused).
+func (st *standbyStore) demote(id, livePath string) error {
+	return st.rename(id, livePath, st.path(id))
+}
+
+// rename moves a journal between the standby and live directories; the
+// standby's cached next sequence is recounted on next touch.
+func (st *standbyStore) rename(id, from, to string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := os.Rename(st.path(id), livePath); err != nil {
+	if err := os.Rename(from, to); err != nil {
 		return err
 	}
 	delete(st.next, id)
 	// Best-effort directory syncs: the rename must survive a crash or
 	// the session would silently vanish from both places.
-	for _, d := range []string{st.dir, filepath.Dir(livePath)} {
+	for _, d := range []string{filepath.Dir(from), filepath.Dir(to)} {
 		if dh, err := os.Open(d); err == nil {
 			dh.Sync()
 			dh.Close()
@@ -246,18 +266,29 @@ func (s *server) detachStream(id string) {
 	}
 }
 
+// replSession resolves the session id a replication request names. It
+// answers the request itself and returns false when replication is off
+// (no -journal-dir) or the id could escape the journal directory.
+func (s *server) replSession(w http.ResponseWriter, r *http.Request) (string, bool) {
+	if s.standby == nil {
+		httpError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
+		return "", false
+	}
+	id := r.PathValue("id")
+	if !sessionIDOK(id) {
+		httpError(w, http.StatusBadRequest, "bad session id")
+		return "", false
+	}
+	return id, true
+}
+
 // handleReplFrames appends streamed journal frames to the session's
 // standby journal. Responses always carry the standby's next expected
 // sequence: 200 when the push is (now) fully held, 409 on a gap the
 // primary must refill.
 func (s *server) handleReplFrames(w http.ResponseWriter, r *http.Request) {
-	if s.standby == nil {
-		httpError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
-		return
-	}
-	id := r.PathValue("id")
-	if !sessionIDOK(id) {
-		httpError(w, http.StatusBadRequest, "bad session id")
+	id, ok := s.replSession(w, r)
+	if !ok {
 		return
 	}
 	firstSeq, err := strconv.ParseInt(r.Header.Get(fleet.FirstSeqHeader), 10, 64)
@@ -272,11 +303,7 @@ func (s *server) handleReplFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	frames := splitFrames(body)
 	if len(frames) == 0 {
-		st := s.standby
-		st.mu.Lock()
-		next := st.loadNext(id)
-		st.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"session": id, "next": next})
+		writeJSON(w, http.StatusOK, map[string]any{"session": id, "next": s.standby.nextSeq(id)})
 		return
 	}
 	next, conflict, err := s.standby.appendFrames(id, frames, firstSeq)
@@ -316,24 +343,19 @@ func (s *server) warmStandby(id string, frame0 []byte) {
 	release := s.buildWarm(frame0)
 	s.warmMu.Lock()
 	if _, still := s.warm[id]; still && release != nil {
-		s.warm[id] = release
-		s.warmMu.Unlock()
-		return
-	}
-	if release == nil {
+		s.warm[id], release = release, nil
+	} else if release == nil {
 		delete(s.warm, id) // failed warm; a later frame-0 push may retry
-		s.warmMu.Unlock()
-		return
 	}
-	// The standby was adopted or released while compiling; drop the hold.
 	s.warmMu.Unlock()
-	release()
+	if release != nil {
+		release() // the standby was adopted or released while compiling
+	}
 }
 
-// buildWarm resolves a compile-cache hold for the design in an open
-// frame: an existing cached compile is referenced, otherwise the design
-// is compiled once and published. Returns nil when the frame does not
-// yield a usable design.
+// buildWarm takes a compile-cache hold on the design named by an open
+// frame, compiling and publishing it when no session has yet. Returns
+// nil when the frame does not yield a usable design.
 func (s *server) buildWarm(frame0 []byte) func() {
 	rec, err := journal.ParseFrame(frame0)
 	if err != nil || rec.Kind != journal.KindOpen {
@@ -348,26 +370,18 @@ func (s *server) buildWarm(frame0 []byte) func() {
 		return nil
 	}
 	key := incremental.StateKey(design, opts.Adjustments)
-	if cd, release := s.compile.acquire(key); cd != nil {
-		mStandbyWarms.Inc()
-		return release
-	}
-	eng, err := incremental.Open(s.lib, design, opts)
+	eng, _, err := s.openEngine(nil, key, design, opts)
 	if err != nil {
 		return nil
 	}
-	// Only the immutable CompiledDesign matters; the throwaway engine's
+	// Hold the cached CompiledDesign itself; the throwaway engine's
 	// analysis state is dropped with it.
-	if release, ok := s.compile.publish(key, eng.CompiledDesign()); ok {
+	_, release := s.compile.acquire(key)
+	eng.ReleaseShared()
+	if release != nil {
 		mStandbyWarms.Inc()
-		return release
 	}
-	if _, release := s.compile.acquire(key); release != nil {
-		// A racing open published first; hold a reference on that one.
-		mStandbyWarms.Inc()
-		return release
-	}
-	return nil
+	return release
 }
 
 // dropWarm releases the session's warm compile hold, if any.
@@ -389,13 +403,8 @@ func (s *server) dropWarm(id string) {
 // of the same journal. Idempotent: adopting a session this replica
 // already serves reports already=true.
 func (s *server) handleReplAdopt(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.journal == nil || s.standby == nil {
-		httpError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
-		return
-	}
-	id := r.PathValue("id")
-	if !sessionIDOK(id) {
-		httpError(w, http.StatusBadRequest, "bad session id")
+	id, ok := s.replSession(w, r)
+	if !ok {
 		return
 	}
 	// Serialize adopts: two racing adopts for one id must not both replay.
@@ -409,73 +418,32 @@ func (s *server) handleReplAdopt(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "session %s quarantined here: %s", id, diag)
 		return
 	}
-	livePath := s.cfg.journal.Path(id)
-	if _, err := os.Stat(livePath); err != nil {
-		if err := s.standby.promote(id, livePath); err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				httpError(w, http.StatusNotFound, "no journal for session %s on this replica", id)
-				return
-			}
-			httpError(w, http.StatusInternalServerError, "promote standby %s: %v", id, err)
-			return
-		}
-	}
-	ss, req, batches, err := s.replaySession(id)
-	if err != nil {
-		s.quarantineUnserved(id, fmt.Sprintf("adopt replay failed: %v", err))
-		httpError(w, http.StatusInternalServerError, "adopt %s: replay: %v", id, err)
-		return
-	}
-	jw, err := s.cfg.journal.Rewrite(id, req, batches)
-	if err != nil {
-		s.quarantineUnserved(id, fmt.Sprintf("adopt rewrite failed: %v", err))
-		httpError(w, http.StatusInternalServerError, "adopt %s: rewrite: %v", id, err)
-		return
-	}
-	ss.jw = jw
-	// Onward replication toward the chain the router designated;
-	// attached before the session is visible so no frame is skipped.
-	s.attachStreams(id, jw, fleet.ParsePeers(r.Header))
-	// The warm compile hold served its purpose: the replay above acquired
-	// its own reference, so releasing here frees nothing prematurely.
-	s.dropWarm(id)
-
-	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.maxSessions {
-		s.mu.Unlock()
-		s.detachStream(id)
-		jw.Close()
+	records, err := s.restore(id, fleet.ParsePeers(r.Header), true)
+	switch {
+	case errors.Is(err, errSessionLimit):
 		httpError(w, http.StatusServiceUnavailable, "session limit (%d) reached", s.cfg.maxSessions)
 		return
+	case errors.Is(err, os.ErrNotExist):
+		httpError(w, http.StatusNotFound, "no journal for session %s on this replica", id)
+		return
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, "adopt %s: %v", id, err)
+		return
 	}
-	s.sessions[id] = ss
-	// An adopted id bearing this replica's own prefix (the session came
-	// home after a failover round-trip) must keep nextID ahead of it.
-	if rest, ok := strings.CutPrefix(id, s.sidPrefix()); ok {
-		if n, err := strconv.Atoi(rest); err == nil && n > s.nextID {
-			s.nextID = n
-		}
-	}
-	s.mu.Unlock()
 	mSessionsAdopted.Inc()
-	fmt.Fprintf(s.cfg.errLog, "hummingbirdd: adopted session %s (%d records)\n", id, len(batches)+1)
+	fmt.Fprintf(s.cfg.errLog, "hummingbirdd: adopted session %s (%d records)\n", id, records)
 	traceID, _ := inboundTraceID(r)
-	s.flight.Record(flight.Info, "repl.adopt", id, traceID, "adopted (%d records)", len(batches)+1)
+	s.flight.Record(flight.Info, "repl.adopt", id, traceID, "adopted (%d records)", records)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"session": id, "adopted": true, "records": len(batches) + 1,
+		"session": id, "adopted": true, "records": records,
 	})
 }
 
 // handleReplRelease drops the session's standby journal (the session
 // closed, or re-homed so this replica is no longer its peer).
 func (s *server) handleReplRelease(w http.ResponseWriter, r *http.Request) {
-	if s.standby == nil {
-		httpError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
-		return
-	}
-	id := r.PathValue("id")
-	if !sessionIDOK(id) {
-		httpError(w, http.StatusBadRequest, "bad session id")
+	id, ok := s.replSession(w, r)
+	if !ok {
 		return
 	}
 	s.standby.release(id)
@@ -492,13 +460,7 @@ func (s *server) handleReplInventory(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
 		return
 	}
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Strings(ids)
+	ids := s.sessionIDs()
 	live := make([]map[string]any, 0, len(ids))
 	for _, id := range ids {
 		ss := s.session(id)
@@ -525,9 +487,7 @@ func (s *server) handleReplInventory(w http.ResponseWriter, r *http.Request) {
 	standby := make([]map[string]any, 0)
 	if st := s.standby; st != nil {
 		for _, id := range st.sessionIDs() {
-			st.mu.Lock()
-			next := st.loadNext(id)
-			st.mu.Unlock()
+			next := st.nextSeq(id)
 			key := ""
 			if frames, err := journal.ReadFrames(st.path(id)); err == nil && len(frames) > 0 {
 				if rec, rerr := journal.ParseFrame(frames[0]); rerr == nil && rec.Kind == journal.KindOpen {
@@ -546,13 +506,8 @@ func (s *server) handleReplInventory(w http.ResponseWriter, r *http.Request) {
 // is not being served here (parked, then migrated away). Refuses while
 // the session is live — that journal is the session's durability.
 func (s *server) handleReplForget(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.journal == nil {
-		httpError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
-		return
-	}
-	id := r.PathValue("id")
-	if !sessionIDOK(id) {
-		httpError(w, http.StatusBadRequest, "bad session id")
+	id, ok := s.replSession(w, r)
+	if !ok {
 		return
 	}
 	if ss := s.session(id); ss != nil {
@@ -581,16 +536,13 @@ func (s *server) handlePark(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	lag, peer := 0, ""
+	lag := 0
 	var hops []fleet.HopLag
 	if s.streams != nil {
 		if st := s.streams.Detach(id); st != nil {
 			st.Flush()
 			hops = st.HopLags()
 			lag = st.Lag()
-			if len(hops) > 0 {
-				peer = hops[0].Peer
-			}
 			st.Close()
 		}
 	}
@@ -610,7 +562,7 @@ func (s *server) handlePark(w http.ResponseWriter, r *http.Request) {
 	traceID, _ := inboundTraceID(r)
 	s.flight.Record(flight.Info, "session.park", id, traceID, "parked (stream lag %d)", lag)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"session": id, "parked": parked, "stream_lag": lag, "stream_peer": peer, "hops": hops,
+		"session": id, "parked": parked, "hops": hops,
 	})
 }
 

@@ -318,9 +318,10 @@ func TestFailoverOperationTraced(t *testing.T) {
 	r.pinSession("r1-1", "design:1", "r1", []string{"r2"})
 	r.mu.Lock()
 	rt := r.sessions["r1-1"]
+	r.members["r1"].up = false
 	r.mu.Unlock()
 
-	if _, err := r.failoverSession("r1-1", rt, "r1"); err == nil {
+	if _, err := r.move(rt, "r1", "failover"); err == nil {
 		t.Fatal("failover against a fake with no standby should fail")
 	}
 	events, _ := r.flight.Since(0, "r1-1")

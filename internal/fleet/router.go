@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,14 +92,17 @@ type memberState struct {
 
 // sessionRoute pins one session to its primary and replication chain
 // (the standby members its journal streams to, in ring order). The
-// per-route mutex single-flights failover and migration: concurrent
-// requests against a dying primary elect exactly one re-homing.
+// per-route mutex single-flights moves: concurrent requests against a
+// dying primary elect exactly one re-homing. closing counts close
+// requests in flight: a planned move skips such a session, as any move
+// skips one already closed.
 type sessionRoute struct {
 	mu      sync.Mutex
 	id      string
 	key     string
 	primary string
 	peers   []string
+	closing int
 }
 
 // Router is the fleet front-end: it owns the consistent-hash ring over
@@ -234,10 +238,25 @@ func (r *Router) rebuildRingLocked() {
 	r.ring = NewRing(ids, r.cfg.Vnodes)
 }
 
-func (r *Router) member(id string) *memberState {
+// routes snapshots the session pin table.
+func (r *Router) routes() []*sessionRoute {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.members[id]
+	out := make([]*sessionRoute, 0, len(r.sessions))
+	for _, rt := range r.sessions {
+		out = append(out, rt)
+	}
+	return out
+}
+
+// live returns a member and whether the router currently sees it up.
+func (r *Router) live(id string) (Member, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.members[id]; m != nil {
+		return m.Member, m.up
+	}
+	return Member{}, false
 }
 
 // memberURL returns the base URL for a live member id, or "".
@@ -262,17 +281,6 @@ func (r *Router) chainLocked(key, primary string) []Member {
 		}
 	}
 	return out
-}
-
-// setPeerHeaders writes a replication chain onto an outbound request:
-// the multi-hop PeersHeader plus the legacy single-peer pair for hop 1.
-func setPeerHeaders(hdr http.Header, peers []Member) {
-	if len(peers) == 0 {
-		return
-	}
-	hdr.Set(PeersHeader, FormatPeers(peers))
-	hdr.Set(PeerHeader, peers[0].URL)
-	hdr.Set(PeerIDHeader, peers[0].ID)
 }
 
 func memberIDs(peers []Member) []string {
@@ -306,10 +314,6 @@ func (r *Router) startOp(name string) (ctx context.Context, tr *span.Trace, fini
 	}
 }
 
-// FlightRecorder exposes the router's event ring (read-mostly; tests
-// and embedding binaries).
-func (r *Router) FlightRecorder() *flight.Recorder { return r.flight }
-
 // validTraceID mirrors the daemon's inbound trace-id validation.
 func validTraceID(id string) bool {
 	if id == "" || len(id) > 64 {
@@ -325,31 +329,35 @@ func validTraceID(id string) bool {
 	return true
 }
 
-// releaseStandbys drops the session's standby journal on each member —
-// stale copies from a previous epoch must never pollute the fresh
-// streams an adopt attaches.
-func (r *Router) releaseStandbys(ctx context.Context, sid string, peers []Member) {
-	for _, p := range peers {
-		r.control(ctx, p.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/release", nil)
+// release drops the session's standby journal on each named member: a
+// closed session's copies are garbage, and copies from an earlier epoch
+// must never pollute the fresh streams an adopt attaches. Returns how
+// many members it asked.
+func (r *Router) release(ctx context.Context, sid string, ids ...string) int {
+	n := 0
+	for _, id := range ids {
+		if u := r.memberURL(id); u != "" {
+			r.control(ctx, u, http.MethodPost, "/v1/replication/sessions/"+sid+"/release", nil)
+			n++
+		}
 	}
+	return n
 }
 
 // probeStandbySeq asks a replica how many contiguous frames its standby
-// journal for the session holds; an empty frames POST mutates nothing.
-func (r *Router) probeStandbySeq(ctx context.Context, baseURL, sid string) (int64, bool) {
+// journal for the session holds (0 when it cannot tell); an empty frames
+// POST mutates nothing.
+func (r *Router) probeStandbySeq(ctx context.Context, baseURL, sid string) int64 {
 	hdr := http.Header{}
 	hdr.Set(FirstSeqHeader, "0")
 	resp, err := r.forward(ctx, baseURL, http.MethodPost, framesPath(sid), hdr, nil)
-	if err != nil || resp.status != http.StatusOK {
-		return 0, false
-	}
 	var m struct {
 		Next int64 `json:"next"`
 	}
-	if json.Unmarshal(resp.body, &m) != nil {
-		return 0, false
+	if err == nil && resp.status == http.StatusOK {
+		_ = json.Unmarshal(resp.body, &m)
 	}
-	return m.Next, true
+	return m.Next
 }
 
 // markDown flips a member down and rebuilds the ring. Returns true when
@@ -369,24 +377,6 @@ func (r *Router) markDown(id string) bool {
 	return true
 }
 
-// markUp flips a member up and rebuilds the ring.
-func (r *Router) markUp(id string) {
-	r.mu.Lock()
-	m := r.members[id]
-	if m == nil || m.up {
-		r.mu.Unlock()
-		return
-	}
-	m.up = true
-	m.fails = 0
-	mMemberUp.Inc()
-	r.rebuildRingLocked()
-	r.mu.Unlock()
-	r.cfg.Logf("fleet: member %s up", id)
-	r.flight.Record(flight.Info, "member.up", "", "", "member %s back up", id)
-	go r.reconcileRejoined(id)
-}
-
 // PollOnce probes every member's /readyz once and updates membership.
 func (r *Router) PollOnce() {
 	r.mu.Lock()
@@ -402,7 +392,9 @@ func (r *Router) PollOnce() {
 }
 
 func (r *Router) pollMember(id string) {
-	m := r.member(id)
+	r.mu.Lock()
+	m := r.members[id]
+	r.mu.Unlock()
 	if m == nil {
 		return
 	}
@@ -422,7 +414,7 @@ func (r *Router) pollMember(id string) {
 		if failed {
 			r.cfg.Logf("fleet: member %s down (%v)", id, err)
 			r.flight.Record(flight.Error, "member.down", "", "", "member %s marked down after %d failed probes (%v)", id, fails, err)
-			r.failoverAll(id)
+			go r.evacuate(id, "failover")
 		}
 		return
 	}
@@ -446,7 +438,7 @@ func (r *Router) pollMember(id string) {
 	if selfDraining {
 		r.cfg.Logf("fleet: member %s draining; migrating its sessions", id)
 		r.flight.Record(flight.Warn, "member.drain", "", "", "member %s reports draining; migrating its sessions", id)
-		go r.drainMember(id)
+		go r.evacuate(id, "drain")
 	}
 }
 
@@ -566,18 +558,14 @@ func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
 	r.cfg.Logf("fleet: member %s joined at %s (state %s)", body.ID, url, state)
 	r.flight.Record(flight.Info, "member.join", "", "", "%s joined at %s (state %s)", body.ID, url, state)
 	migrated, errs := r.rebalance()
-	status := http.StatusOK
-	if len(errs) > 0 {
-		status = http.StatusConflict
-	}
-	writeJSON(w, status, map[string]any{
+	writeJSON(w, moveStatus(errs), map[string]any{
 		"member": body.ID, "joined": true, "state": state, "migrated": migrated, "errors": errs,
 	})
 }
 
-// handleLeave removes a member at runtime: a live member drains first
-// (park → hand-off → adopt for each pinned session), a dead one has its
-// sessions failed over to their standbys; the member leaves the table
+// handleLeave removes a member at runtime: its sessions move off (see
+// move: planned while it is up, failover when it is down); the member
+// leaves the table
 // only once no session pins to it, so a stuck migration never strands a
 // session on a forgotten replica.
 func (r *Router) handleLeave(w http.ResponseWriter, req *http.Request) {
@@ -589,32 +577,13 @@ func (r *Router) handleLeave(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	id := body.ID
-	r.mu.Lock()
-	m := r.members[id]
-	if m == nil {
-		r.mu.Unlock()
+	if !r.setDraining(id, true) {
 		httpError(w, http.StatusNotFound, "unknown member %q", id)
 		return
 	}
-	wasUp := m.up
-	m.draining = true
-	r.rebuildRingLocked()
-	r.mu.Unlock()
-	var migrated int
-	var errs []string
-	if wasUp {
-		migrated, errs = r.drainMember(id)
-	} else {
-		r.failoverAll(id)
-	}
-	r.mu.Lock()
-	routes := make([]*sessionRoute, 0, len(r.sessions))
-	for _, rt := range r.sessions {
-		routes = append(routes, rt)
-	}
-	r.mu.Unlock()
+	migrated, errs := r.evacuate(id, "leave")
 	pinned := 0
-	for _, rt := range routes {
+	for _, rt := range r.routes() {
 		rt.mu.Lock()
 		if rt.primary == id {
 			pinned++
@@ -669,12 +638,12 @@ func (r *Router) handleOpen(w http.ResponseWriter, req *http.Request) {
 		}
 		hdr := http.Header{}
 		copyProxyHeaders(hdr, req.Header)
-		setPeerHeaders(hdr, chain)
+		hdr.Set(PeersHeader, FormatPeers(chain))
 		resp, rerr := r.forward(req.Context(), pm.URL, http.MethodPost, "/v1/sessions", hdr, body)
 		if rerr != nil {
 			mProxyErrors.Inc()
 			if !r.probeAlive(pm.URL) && r.markDown(pm.ID) {
-				go r.failoverAll(pm.ID)
+				go r.evacuate(pm.ID, "failover")
 			}
 			continue
 		}
@@ -699,15 +668,11 @@ func (r *Router) handleList(w http.ResponseWriter, _ *http.Request) {
 	r.mu.Lock()
 	out := make([]map[string]any, 0, len(r.sessions))
 	for _, rt := range r.sessions {
-		row := map[string]any{
+		out = append(out, map[string]any{
 			"session": rt.id,
 			"replica": rt.primary,
 			"peers":   append([]string(nil), rt.peers...),
-		}
-		if len(rt.peers) > 0 {
-			row["peer"] = rt.peers[0]
-		}
-		out = append(out, row)
+		})
 	}
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i]["session"].(string) < out[j]["session"].(string) })
@@ -736,10 +701,14 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 
 	rt.mu.Lock()
 	primary := rt.primary
+	if req.Method == http.MethodDelete {
+		rt.closing++
+		defer func() { rt.mu.Lock(); rt.closing--; rt.mu.Unlock() }()
+	}
 	rt.mu.Unlock()
-	pm := r.member(primary)
+	pm, up := r.live(primary)
 	attempted := false
-	if pm != nil && pm.up {
+	if up {
 		resp, rerr := r.forward(req.Context(), pm.URL, req.Method, uri, hdr, body)
 		if rerr == nil {
 			r.finishSession(w, req, sid, rt, pm.ID, resp)
@@ -757,16 +726,14 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 			mProxyErrors.Inc()
 		}
 		if r.markDown(pm.ID) {
-			go r.failoverAll(pm.ID)
+			go r.evacuate(pm.ID, "failover")
 		}
 	}
 
-	// Primary is down: fail the session over to its journal peer (a
-	// no-op returning the current pin when the health loop got there
-	// first).
-	newPrimary, ferr := r.failoverSession(sid, rt, primary)
+	// Primary is down: move the session onto its standby chain (a no-op
+	// returning the current pin when the health loop got there first).
+	newPrimary, ferr := r.move(rt, primary, "failover")
 	if ferr != nil {
-		mFailoverErrors.Inc()
 		httpError(w, http.StatusServiceUnavailable, "session %s: primary down, failover failed: %v", sid, ferr)
 		return
 	}
@@ -781,8 +748,8 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusConflict, "session %s re-homed to %s mid-request; retry the batch", sid, newPrimary)
 		return
 	}
-	npm := r.member(newPrimary)
-	if npm == nil {
+	npm, _ := r.live(newPrimary)
+	if npm.URL == "" {
 		httpError(w, http.StatusServiceUnavailable, "session %s: new primary %s vanished", sid, newPrimary)
 		return
 	}
@@ -808,135 +775,31 @@ func (r *Router) finishSession(w http.ResponseWriter, req *http.Request, sid str
 		r.mu.Unlock()
 		// Best-effort: every chain member's standby journal is garbage
 		// once the session is closed.
-		for _, peer := range peers {
-			if u := r.memberURL(peer); u != "" {
-				r.control(req.Context(), u, http.MethodPost, "/v1/replication/sessions/"+sid+"/release", nil)
-			}
-		}
+		r.release(req.Context(), sid, peers...)
 	}
 	w.Header().Set("X-Hb-Replica", servedBy)
 	resp.writeTo(w)
 }
 
-// failoverAll re-homes every session pinned to a dead member.
-func (r *Router) failoverAll(dead string) {
-	r.mu.Lock()
-	routes := make([]*sessionRoute, 0)
-	for _, rt := range r.sessions {
-		routes = append(routes, rt)
+// moveStatus answers a bulk move: 409 when any session failed to move.
+func moveStatus(errs []string) int {
+	if len(errs) > 0 {
+		return http.StatusConflict
 	}
-	r.mu.Unlock()
-	for _, rt := range routes {
-		rt.mu.Lock()
-		primary := rt.primary
-		rt.mu.Unlock()
-		if primary != dead {
-			continue
-		}
-		if _, err := r.failoverSession(rt.id, rt, dead); err != nil {
-			mFailoverErrors.Inc()
-			r.cfg.Logf("fleet: failover %s off %s: %v", rt.id, dead, err)
-		}
-	}
+	return http.StatusOK
 }
 
-// failoverSession moves one session from its dead primary onto its
-// replication chain: every reachable chain member is asked how many
-// contiguous frames its standby journal holds, the earliest hop with
-// the highest sequence adopts (promote + replay + compact), and the
-// adopter's onward streams are wired to the key's new successors.
-// Single-flighted per session; returns the (possibly already updated)
-// primary.
-func (r *Router) failoverSession(sid string, rt *sessionRoute, failed string) (target string, err error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.primary != failed {
-		return rt.primary, nil // lost the race; someone already re-homed it
-	}
-	ctx, tr, finish := r.startOp("fleet.failover")
-	defer finish()
-	root := span.Current(ctx)
-	root.Annotate("session", sid)
-	root.Annotate("from", failed)
-	r.flight.Record(flight.Warn, "failover.begin", sid, tr.ID(),
-		"primary %s down; probing chain %v", failed, rt.peers)
-	defer func() {
-		if err != nil {
-			root.Annotate("error", err.Error())
-			r.flight.Record(flight.Error, "failover.error", sid, tr.ID(), "%v", err)
-		}
-	}()
-	if len(rt.peers) == 0 {
-		return "", fmt.Errorf("no journal peers")
-	}
-	var best *memberState
-	var bestNext int64
-	for _, pid := range rt.peers {
-		pctx, ps := span.Start(ctx, "probe")
-		ps.Annotate("peer", pid)
-		m := r.member(pid)
-		if m == nil || !m.up {
-			ps.Annotate("result", "down")
-			ps.End()
-			continue
-		}
-		next, ok := r.probeStandbySeq(pctx, m.URL, sid)
-		if !ok || next < 1 {
-			ps.Annotate("result", "no-journal")
-			ps.End()
-			continue
-		}
-		ps.Annotate("seq", strconv.FormatInt(next, 10))
-		ps.End()
-		if best == nil || next > bestNext {
-			best, bestNext = m, next
-		}
-	}
-	if best == nil {
-		return "", fmt.Errorf("no reachable standby holds session %s (chain %v)", sid, rt.peers)
-	}
-	target = best.ID
-	root.Annotate("target", target)
-	r.mu.Lock()
-	newChain := r.chainLocked(rt.key, target)
-	r.mu.Unlock()
-	// Standby copies from the failed primary's epoch must not pollute the
-	// fresh streams the adopter attaches.
-	rctx, rs := span.Start(ctx, "release")
-	r.releaseStandbys(rctx, sid, newChain)
-	rs.End()
-	actx, as := span.Start(ctx, "adopt")
-	as.Annotate("target", target)
-	hdr := http.Header{}
-	setPeerHeaders(hdr, newChain)
-	resp, err := r.forward(actx, best.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/adopt", hdr, nil)
-	as.End()
-	if err != nil {
-		return "", fmt.Errorf("adopt on %s: %w", target, err)
-	}
-	if resp.status != http.StatusOK {
-		return "", fmt.Errorf("adopt on %s: status %d: %s", target, resp.status, truncate(resp.body, 200))
-	}
-	rt.primary, rt.peers = target, memberIDs(newChain)
-	mFailovers.Inc()
-	r.cfg.Logf("fleet: session %s re-homed %s -> %s at seq %d (chain %v)", sid, failed, target, bestNext, rt.peers)
-	r.flight.Record(flight.Info, "failover.end", sid, tr.ID(),
-		"adopted on %s at seq %d (chain %v)", target, bestNext, rt.peers)
-	return target, nil
-}
-
-// drainMember migrates every session off a draining (but still live)
-// member via park → journal hand-off → adopt.
-func (r *Router) drainMember(id string) (migrated int, errs []string) {
-	return r.migrateMatching(func(_ *sessionRoute, primary string) bool {
+// evacuate moves every session pinned to member id off it (see move).
+func (r *Router) evacuate(id, reason string) (moved int, errs []string) {
+	return r.moveAll(reason, func(_ *sessionRoute, primary string) bool {
 		return primary == id
 	})
 }
 
-// rebalance migrates every session whose ring owner changed (a member
+// rebalance moves every session whose ring owner changed (a member
 // joined or left) to its new owner — the displaced ~K/N, nothing else.
-func (r *Router) rebalance() (migrated int, errs []string) {
-	return r.migrateMatching(func(rt *sessionRoute, primary string) bool {
+func (r *Router) rebalance() (moved int, errs []string) {
+	return r.moveAll("rebalance", func(rt *sessionRoute, primary string) bool {
 		r.mu.Lock()
 		desired := r.ring.Lookup(rt.key)
 		m := r.members[primary]
@@ -945,22 +808,16 @@ func (r *Router) rebalance() (migrated int, errs []string) {
 	})
 }
 
-// migrateMatching bulk-migrates every pinned session whose current
-// primary matches, MigrateConcurrency sessions at a time; each failure
-// rolls that one session back and is reported, the rest proceed.
-func (r *Router) migrateMatching(match func(rt *sessionRoute, primary string) bool) (migrated int, errs []string) {
-	r.mu.Lock()
-	routes := make([]*sessionRoute, 0, len(r.sessions))
-	for _, rt := range r.sessions {
-		routes = append(routes, rt)
-	}
-	r.mu.Unlock()
+// moveAll moves every pinned session whose current primary matches,
+// MigrateConcurrency sessions at a time; each failure is reported and
+// the rest proceed.
+func (r *Router) moveAll(reason string, match func(rt *sessionRoute, primary string) bool) (moved int, errs []string) {
 	var (
 		mu  sync.Mutex
 		wg  sync.WaitGroup
 		sem = make(chan struct{}, r.cfg.MigrateConcurrency)
 	)
-	for _, rt := range routes {
+	for _, rt := range r.routes() {
 		rt.mu.Lock()
 		primary := rt.primary
 		rt.mu.Unlock()
@@ -972,177 +829,216 @@ func (r *Router) migrateMatching(match func(rt *sessionRoute, primary string) bo
 		go func(rt *sessionRoute, from string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			err := r.migrateSession(rt, from)
+			to, err := r.move(rt, from, reason)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
+			switch {
+			case err != nil:
 				errs = append(errs, fmt.Sprintf("%s: %v", rt.id, err))
-				r.cfg.Logf("fleet: migrate %s off %s: %v", rt.id, from, err)
-				return
+				r.cfg.Logf("fleet: %s %s off %s: %v", reason, rt.id, from, err)
+			case to != from:
+				moved++
 			}
-			migrated++
 		}(rt, primary)
 	}
 	wg.Wait()
-	return migrated, errs
+	return moved, errs
 }
 
-// migrateSession is the planned (primary still alive) re-homing: park
-// the session on the old primary, make sure the target holds the full
-// journal (streamed standby when caught up, explicit export otherwise),
-// adopt on the target, then forget the journal on the old primary.
-func (r *Router) migrateSession(rt *sessionRoute, from string) (err error) {
+// move is the one way a session changes replicas. It is single-flighted
+// per session: a session no longer pinned to from was moved by someone
+// else and stays where it is. Whether from is up picks the branch:
+//
+//   - planned (fleet.migrate): park the session on from, hand its journal
+//     to the ring owner when that hop's standby lags, adopt it there and
+//     forget it on from;
+//   - unplanned (fleet.failover): adopt on the chain member whose standby
+//     holds the highest sequence (see adoptBest).
+//
+// The one rollback rule: when the move fails after the park, the session
+// is re-adopted on from. Returns the session's primary afterwards.
+func (r *Router) move(rt *sessionRoute, from, reason string) (_ string, err error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.primary != from {
-		return nil
-	}
-	fm := r.member(from)
-	if fm == nil || !fm.up {
-		return fmt.Errorf("old primary %s not reachable; use failover", from)
+		return rt.primary, nil
 	}
 	r.mu.Lock()
-	target := r.ring.Lookup(rt.key)
-	var tm *memberState
-	if target != "" {
-		tm = r.members[target]
-	}
+	closed := r.sessions[rt.id] != rt
 	r.mu.Unlock()
-	if tm == nil {
-		return fmt.Errorf("no migration target")
+	fm, planned := r.live(from)
+	if closed || planned && rt.closing > 0 {
+		return from, nil // the session is closed or closing; nothing to move
 	}
-	if target == from {
-		return nil // the ring still wants it here; nothing displaced
+	op, kind, target := "fleet.failover", "failover", ""
+	if planned {
+		op, kind = "fleet.migrate", "migrate"
+		r.mu.Lock()
+		target = r.ring.Lookup(rt.key)
+		r.mu.Unlock()
+		if target == from {
+			return from, nil // the ring still wants it here; nothing displaced
+		}
 	}
-
-	ctx, tr, finish := r.startOp("fleet.migrate")
+	ctx, tr, finish := r.startOp(op)
 	defer finish()
 	root := span.Current(ctx)
 	root.Annotate("session", rt.id)
 	root.Annotate("from", from)
-	root.Annotate("target", target)
+	root.Annotate("reason", reason)
 	defer func() {
 		if err != nil {
+			if !planned {
+				mFailoverErrors.Inc()
+			}
 			root.Annotate("error", err.Error())
-			r.flight.Record(flight.Error, "migrate.error", rt.id, tr.ID(), "%s -> %s: %v", from, target, err)
+			r.flight.Record(flight.Error, kind+".error", rt.id, tr.ID(), "%s off %s: %v", reason, from, err)
 		}
 	}()
 
-	// rollback wraps rollbackPark in its own span so a failed migration's
-	// trace shows the compensating re-adopt as a step.
-	rollback := func() {
-		rbctx, rb := span.Start(ctx, "rollback")
-		r.rollbackPark(rbctx, fm, rt)
-		rb.End()
-		r.flight.Record(flight.Warn, "migrate.rollback", rt.id, tr.ID(), "re-adopted on %s", from)
-	}
-
-	// 1. Park on the old primary: flushes the replication chain and
-	// reports each hop's residual lag.
-	pctx, ps := span.Start(ctx, "park")
-	presp, err := r.control(pctx, fm.URL, http.MethodPost, "/v1/sessions/"+rt.id+"/park", nil)
-	ps.End()
-	if err != nil {
-		return fmt.Errorf("park on %s: %w", from, err)
-	}
-	if presp.status != http.StatusOK {
-		return fmt.Errorf("park on %s: status %d: %s", from, presp.status, truncate(presp.body, 200))
-	}
-	var park struct {
-		StreamLag  int      `json:"stream_lag"`
-		StreamPeer string   `json:"stream_peer"`
-		Hops       []HopLag `json:"hops"`
-	}
-	_ = json.Unmarshal(presp.body, &park)
-
-	// 2. Guarantee the target holds the complete journal. The streamed
-	// standby suffices only when the target was a chain hop whose flush
-	// drained fully; otherwise drop whatever stale copy it may hold and
-	// push the exported frames.
-	caughtUp := false
-	for _, h := range park.Hops {
-		if h.Peer == target && h.Lag == 0 {
-			caughtUp = true
+	var chain []string
+	if planned {
+		if target == "" {
+			return from, fmt.Errorf("no migration target")
 		}
-	}
-	if !caughtUp && target == park.StreamPeer && park.StreamLag == 0 {
-		caughtUp = true // legacy single-hop park response
-	}
-	if !caughtUp {
-		hctx, hs := span.Start(ctx, "journal-handoff")
-		hs.Annotate("target", target)
-		exp, err := r.control(hctx, fm.URL, http.MethodGet, "/v1/sessions/"+rt.id+"/journal", nil)
-		if err != nil || exp.status != http.StatusOK {
-			hs.End()
-			rollback()
-			return fmt.Errorf("journal export from %s failed (err=%v status=%d)", from, err, exp.statusOr0())
+		root.Annotate("target", target)
+		// Park on from: flushes the replication chain and reports each
+		// hop's residual lag.
+		pctx, ps := span.Start(ctx, "park")
+		var presp *bufferedResponse
+		presp, err = r.control(pctx, fm.URL, http.MethodPost, "/v1/sessions/"+rt.id+"/park", nil)
+		ps.End()
+		if err == nil && presp.status != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", presp.status, truncate(presp.body, 200))
 		}
-		r.control(hctx, tm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/release", nil)
-		hdr := http.Header{}
-		hdr.Set(FirstSeqHeader, "0")
-		push, err := r.forward(hctx, tm.URL, http.MethodPost, framesPath(rt.id), hdr, exp.body)
-		hs.End()
-		if err != nil || push.status != http.StatusOK {
-			rollback()
-			return fmt.Errorf("journal push to %s failed (err=%v status=%d)", target, err, push.statusOr0())
+		if err != nil {
+			return from, fmt.Errorf("park on %s: %w", from, err)
 		}
+		var park struct {
+			Hops []HopLag `json:"hops"`
+		}
+		_ = json.Unmarshal(presp.body, &park)
+		// The streamed standby suffices only when target is a chain hop
+		// whose flush drained fully; an unreadable reply just forces the
+		// hand-off.
+		if !slices.ContainsFunc(park.Hops, func(h HopLag) bool { return h.Peer == target && h.Lag == 0 }) {
+			err = r.handOff(ctx, rt.id, fm, target)
+		}
+		if err == nil {
+			chain, err = r.adopt(ctx, rt.id, rt.key, target)
+		}
+		if err != nil {
+			rbctx, rb := span.Start(ctx, "rollback")
+			if back, rerr := r.adopt(rbctx, rt.id, rt.key, from); rerr == nil {
+				rt.peers = back
+			}
+			rb.End()
+			r.flight.Record(flight.Warn, "migrate.rollback", rt.id, tr.ID(), "re-adopted on %s", from)
+			return from, err
+		}
+		// The parked journal on from, and standby copies on old chain
+		// members the new chain does not reuse, are now shadows: drop them
+		// so a restart cannot resurrect the session in two places.
+		fctx, fs := span.Start(ctx, "forget")
+		r.control(fctx, fm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/forget", nil)
+		for _, id := range rt.peers {
+			if id != target && !slices.Contains(chain, id) {
+				r.release(fctx, rt.id, id)
+			}
+		}
+		fs.End()
+		mMigrations.Inc()
+	} else {
+		r.flight.Record(flight.Warn, "failover.begin", rt.id, tr.ID(), "primary %s down; probing chain %v", from, rt.peers)
+		if target, chain, err = r.adoptBest(ctx, rt.id, rt.key, rt.peers); err != nil {
+			return from, err
+		}
+		root.Annotate("target", target)
+		mFailovers.Inc()
 	}
+	rt.primary, rt.peers = target, chain
+	r.cfg.Logf("fleet: session %s moved %s -> %s (%s, chain %v)", rt.id, from, target, reason, chain)
+	r.flight.Record(flight.Info, kind+".end", rt.id, tr.ID(), "%s -> %s (chain %v)", from, target, chain)
+	return target, nil
+}
 
-	// 3. Adopt on the target, wiring its onward replication chain. Chain
-	// members' stale standbys are dropped first so the fresh streams
-	// start clean.
-	r.mu.Lock()
-	newChain := r.chainLocked(rt.key, target)
-	r.mu.Unlock()
-	actx, as := span.Start(ctx, "adopt")
-	as.Annotate("target", target)
-	r.releaseStandbys(actx, rt.id, newChain)
+// handOff gives target the complete journal of a session parked on
+// from: the exported frames replace whatever stale standby copy target
+// held.
+func (r *Router) handOff(ctx context.Context, sid string, from Member, target string) error {
+	hctx, hs := span.Start(ctx, "journal-handoff")
+	defer hs.End()
+	hs.Annotate("target", target)
+	exp, err := r.control(hctx, from.URL, http.MethodGet, "/v1/sessions/"+sid+"/journal", nil)
+	if err != nil || exp.status != http.StatusOK {
+		return fmt.Errorf("journal export from %s failed (err=%v status=%d)", from.ID, err, exp.statusOr0())
+	}
+	r.release(hctx, sid, target)
 	hdr := http.Header{}
-	setPeerHeaders(hdr, newChain)
-	aresp, err := r.forward(actx, tm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/adopt", hdr, nil)
-	as.End()
-	if err != nil || aresp.status != http.StatusOK {
-		rollback()
-		return fmt.Errorf("adopt on %s failed (err=%v status=%d)", target, err, aresp.statusOr0())
+	hdr.Set(FirstSeqHeader, "0")
+	push, err := r.forward(hctx, r.memberURL(target), http.MethodPost, framesPath(sid), hdr, exp.body)
+	if err != nil || push.status != http.StatusOK {
+		return fmt.Errorf("journal push to %s failed (err=%v status=%d)", target, err, push.statusOr0())
 	}
-
-	// 4. The old primary's journal (and any stale standby on old chain
-	// members the new chain does not reuse) are now shadows; drop them so
-	// a restart cannot resurrect the session in two places.
-	fctx, fs := span.Start(ctx, "forget")
-	r.control(fctx, fm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/forget", nil)
-	reused := map[string]bool{target: true}
-	for _, p := range newChain {
-		reused[p.ID] = true
-	}
-	for _, old := range rt.peers {
-		if reused[old] {
-			continue
-		}
-		if u := r.memberURL(old); u != "" {
-			r.control(fctx, u, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/release", nil)
-		}
-	}
-	fs.End()
-	rt.primary, rt.peers = target, memberIDs(newChain)
-	mMigrations.Inc()
-	r.cfg.Logf("fleet: session %s migrated %s -> %s (chain %v)", rt.id, from, target, rt.peers)
-	r.flight.Record(flight.Info, "migrate.end", rt.id, tr.ID(), "%s -> %s (chain %v)", from, target, rt.peers)
 	return nil
 }
 
-// rollbackPark re-adopts a parked session on its own primary after a
-// failed migration, so the session keeps serving where it was; its
-// replication chain is rebuilt from the current ring. Caller holds
-// rt.mu.
-func (r *Router) rollbackPark(ctx context.Context, fm *memberState, rt *sessionRoute) {
+// adoptBest is the unplanned move onto one of candidates: each up
+// candidate is asked how many contiguous frames its standby journal
+// holds, and the first holding the most adopts.
+func (r *Router) adoptBest(ctx context.Context, sid, key string, candidates []string) (target string, chain []string, err error) {
+	var best int64
+	for _, id := range candidates {
+		pctx, ps := span.Start(ctx, "probe")
+		ps.Annotate("peer", id)
+		m, up := r.live(id)
+		next := int64(0)
+		if up {
+			next = r.probeStandbySeq(pctx, m.URL, sid)
+		}
+		switch {
+		case !up:
+			ps.Annotate("result", "down")
+		case next < 1:
+			ps.Annotate("result", "no-journal")
+		default:
+			ps.Annotate("seq", strconv.FormatInt(next, 10))
+			if next > best {
+				target, best = id, next
+			}
+		}
+		ps.End()
+	}
+	if target == "" {
+		return "", nil, fmt.Errorf("no reachable standby holds session %s (candidates %v)", sid, candidates)
+	}
+	chain, err = r.adopt(ctx, sid, key, target)
+	return target, chain, err
+}
+
+// adopt promotes the session's journal on member on and wires its onward
+// replication to the chain the ring gives key there. The chain members'
+// stale standbys are released first, so the streams the adopt attaches
+// start clean. Returns the chain's member ids.
+func (r *Router) adopt(ctx context.Context, sid, key, on string) ([]string, error) {
+	actx, as := span.Start(ctx, "adopt")
+	defer as.End()
+	as.Annotate("target", on)
 	r.mu.Lock()
-	chain := r.chainLocked(rt.key, fm.ID)
+	chain := r.chainLocked(key, on)
 	r.mu.Unlock()
-	r.releaseStandbys(ctx, rt.id, chain)
+	ids := memberIDs(chain)
+	r.release(actx, sid, ids...)
 	hdr := http.Header{}
-	setPeerHeaders(hdr, chain)
-	r.forward(ctx, fm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/adopt", hdr, nil)
+	hdr.Set(PeersHeader, FormatPeers(chain))
+	resp, err := r.forward(actx, r.memberURL(on), http.MethodPost, "/v1/replication/sessions/"+sid+"/adopt", hdr, nil)
+	if err == nil && resp.status != http.StatusOK {
+		err = fmt.Errorf("status %d: %s", resp.status, truncate(resp.body, 200))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("adopt on %s: %w", on, err)
+	}
+	return ids, nil
 }
 
 // inventory mirrors the daemon's GET /v1/replication/inventory reply.
@@ -1156,7 +1052,6 @@ type inventory struct {
 	} `json:"live"`
 	Standby []struct {
 		Session string `json:"session"`
-		Next    int64  `json:"next"`
 		Key     string `json:"key"`
 	} `json:"standby"`
 }
@@ -1178,15 +1073,7 @@ func (r *Router) Reconcile() map[string]any {
 	defer finish()
 	root := span.Current(ctx)
 	r.PollOnce()
-	r.mu.Lock()
-	polled := make([]Member, 0, len(r.members))
-	for _, m := range r.members {
-		if m.up {
-			polled = append(polled, m.Member)
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(polled, func(i, j int) bool { return polled[i].ID < polled[j].ID })
+	polled := r.upMembersSorted()
 
 	type liveClaim struct {
 		member string
@@ -1194,13 +1081,9 @@ func (r *Router) Reconcile() map[string]any {
 		key    string
 		peers  []string
 	}
-	type standbyClaim struct {
-		member string
-		next   int64
-		key    string
-	}
 	liveBy := make(map[string][]liveClaim)
-	standbyBy := make(map[string][]standbyClaim)
+	standbyBy := make(map[string][]string) // session -> holders
+	standbyKey := make(map[string]string)
 	inventoried := 0
 	complete := true
 	ictx, is := span.Start(ctx, "inventory")
@@ -1220,7 +1103,8 @@ func (r *Router) Reconcile() map[string]any {
 			liveBy[l.Session] = append(liveBy[l.Session], liveClaim{m.ID, l.Seq, l.Key, l.Peers})
 		}
 		for _, sb := range inv.Standby {
-			standbyBy[sb.Session] = append(standbyBy[sb.Session], standbyClaim{m.ID, sb.Next, sb.Key})
+			standbyBy[sb.Session] = append(standbyBy[sb.Session], m.ID)
+			standbyKey[sb.Session] = sb.Key
 		}
 	}
 	is.AnnotateInt("members", inventoried)
@@ -1263,21 +1147,15 @@ func (r *Router) Reconcile() map[string]any {
 				cs.End()
 			}
 		}
-		r.pinSession(sid, winner.key, winner.member, r.knownMembers(winner.peers))
+		// Only reported peers the router has as members join the pin.
+		peers := slices.DeleteFunc(append([]string{}, winner.peers...), func(id string) bool { return r.memberURL(id) == "" })
+		r.pinSession(sid, winner.key, winner.member, peers)
 		pinned++
 		// Standby copies on members outside the winner's active chain are
 		// leftovers from an older epoch; drop them.
-		chain := make(map[string]bool, len(winner.peers))
-		for _, p := range winner.peers {
-			chain[p] = true
-		}
-		for _, sb := range standbyBy[sid] {
-			if sb.member == winner.member || chain[sb.member] {
-				continue
-			}
-			if u := r.memberURL(sb.member); u != "" {
-				r.control(ctx, u, http.MethodPost, "/v1/replication/sessions/"+sid+"/release", nil)
-				released++
+		for _, holder := range standbyBy[sid] {
+			if holder != winner.member && !slices.Contains(winner.peers, holder) {
+				released += r.release(ctx, sid, holder)
 			}
 		}
 	}
@@ -1290,43 +1168,20 @@ func (r *Router) Reconcile() map[string]any {
 	}
 	sort.Strings(standbySids)
 	for _, sid := range standbySids {
-		claims := standbyBy[sid]
-		sort.Slice(claims, func(i, j int) bool {
-			if claims[i].next != claims[j].next {
-				return claims[i].next > claims[j].next
-			}
-			return claims[i].member < claims[j].member
-		})
-		best := claims[0]
-		if best.next < 1 {
-			continue
-		}
-		bm := r.member(best.member)
-		if bm == nil || !bm.up {
-			continue
-		}
-		r.mu.Lock()
-		newChain := r.chainLocked(best.key, best.member)
-		r.mu.Unlock()
-		actx, as := span.Start(ctx, "adopt")
-		as.Annotate("session", sid)
-		as.Annotate("target", best.member)
-		r.releaseStandbys(actx, sid, newChain)
-		hdr := http.Header{}
-		setPeerHeaders(hdr, newChain)
-		resp, err := r.forward(actx, bm.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/adopt", hdr, nil)
-		as.End()
-		if err != nil || resp.status != http.StatusOK {
-			r.cfg.Logf("fleet: reconcile: adopt orphaned %s on %s failed (err=%v status=%d)",
-				sid, best.member, err, resp.statusOr0())
+		// The holders, in id order, are the candidates of an unplanned
+		// move: the highest sequence wins, ties go to the smaller id.
+		holders, key := standbyBy[sid], standbyKey[sid]
+		sort.Strings(holders)
+		target, chain, err := r.adoptBest(ctx, sid, key, holders)
+		if err != nil {
+			r.cfg.Logf("fleet: reconcile: adopt orphaned %s: %v", sid, err)
 			continue
 		}
 		mReconAdopts.Inc()
-		r.pinSession(sid, best.key, best.member, memberIDs(newChain))
+		r.pinSession(sid, key, target, chain)
 		adopted++
-		r.cfg.Logf("fleet: reconcile: adopted orphaned session %s on %s at seq %d", sid, best.member, best.next)
-		r.flight.Record(flight.Info, "reconcile.adopt", sid, tr.ID(),
-			"orphaned session adopted on %s at seq %d", best.member, best.next)
+		r.cfg.Logf("fleet: reconcile: adopted orphaned session %s on %s", sid, target)
+		r.flight.Record(flight.Info, "reconcile.adopt", sid, tr.ID(), "orphaned session adopted on %s", target)
 	}
 
 	// Pins nothing in the fleet backs are stale — but only drop them when
@@ -1385,27 +1240,13 @@ func (r *Router) pinSession(sid, key, primary string, peers []string) {
 	rt.mu.Unlock()
 }
 
-// knownMembers filters a reported peer list down to ids the router
-// actually has as members.
-func (r *Router) knownMembers(ids []string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if r.members[id] != nil {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // reconcileRejoined clears sessions a rejoining member still holds from
 // a pre-failover life: any session it serves that the router has pinned
 // elsewhere (or forgotten) is closed there so one session id never runs
 // on two replicas.
 func (r *Router) reconcileRejoined(id string) {
-	m := r.member(id)
-	if m == nil {
+	m, _ := r.live(id)
+	if m.URL == "" {
 		return
 	}
 	resp, err := r.control(context.Background(), m.URL, http.MethodGet, "/v1/sessions", nil)
@@ -1600,12 +1441,9 @@ func (r *Router) handleFleetStatus(w http.ResponseWriter, _ *http.Request) {
 			up++
 		}
 	}
-	pins := make(map[string]map[string]any, len(r.sessions))
-	routes := make([]*sessionRoute, 0, len(r.sessions))
-	for _, rt := range r.sessions {
-		routes = append(routes, rt)
-	}
 	r.mu.Unlock()
+	routes := r.routes()
+	pins := make(map[string]map[string]any, len(routes))
 	for _, rt := range routes {
 		rt.mu.Lock()
 		pins[rt.id] = map[string]any{"primary": rt.primary, "peers": rt.peers}
@@ -1720,23 +1558,13 @@ func (r *Router) handleMembers(w http.ResponseWriter, _ *http.Request) {
 // operator stops it afterwards.
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	r.mu.Lock()
-	m := r.members[id]
-	if m == nil {
-		r.mu.Unlock()
+	if !r.setDraining(id, true) {
 		httpError(w, http.StatusNotFound, "unknown member %q", id)
 		return
 	}
-	m.draining = true
-	r.rebuildRingLocked()
-	r.mu.Unlock()
 	r.flight.Record(flight.Info, "member.drain", "", "", "%s draining (operator request)", id)
-	migrated, errs := r.drainMember(id)
-	status := http.StatusOK
-	if len(errs) > 0 {
-		status = http.StatusConflict
-	}
-	writeJSON(w, status, map[string]any{
+	migrated, errs := r.evacuate(id, "drain")
+	writeJSON(w, moveStatus(errs), map[string]any{
 		"member": id, "draining": true, "migrated": migrated, "errors": errs,
 	})
 }
@@ -1744,18 +1572,25 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 // handleUndrain returns a drained member to the ring.
 func (r *Router) handleUndrain(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	r.mu.Lock()
-	m := r.members[id]
-	if m == nil {
-		r.mu.Unlock()
+	if !r.setDraining(id, false) {
 		httpError(w, http.StatusNotFound, "unknown member %q", id)
 		return
 	}
-	m.draining = false
-	r.rebuildRingLocked()
-	r.mu.Unlock()
 	r.flight.Record(flight.Info, "member.undrain", "", "", "%s back in the ring", id)
 	writeJSON(w, http.StatusOK, map[string]any{"member": id, "draining": false})
+}
+
+// setDraining flips a member's draining flag and rebuilds the ring; it
+// reports false for an unknown member.
+func (r *Router) setDraining(id string, draining bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.members[id]
+	if m != nil {
+		m.draining = draining
+		r.rebuildRingLocked()
+	}
+	return m != nil
 }
 
 // bufferedResponse is a fully buffered upstream response, so a
