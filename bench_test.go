@@ -166,6 +166,14 @@ func BenchmarkIncrementalEdit_ALU(b *testing.B)  { benchIncrementalEdit(b, workl
 func BenchmarkIncrementalEdit_SM1F(b *testing.B) { benchIncrementalEdit(b, infallible(workload.SM1F)) }
 func BenchmarkIncrementalEdit_SM1H(b *testing.B) { benchIncrementalEdit(b, infallible(workload.SM1H)) }
 
+// BenchmarkIncrementalEdit_SoC20k is the same edit on the 20k-cell
+// latch-based SoC, whose initial offsets are not a fixed point: each
+// edit's first sweep moves every borrowing latch, and the engine
+// warm-starts that sweep from the previous fixed point.
+func BenchmarkIncrementalEdit_SoC20k(b *testing.B) {
+	benchIncrementalEdit(b, func() (*netlist.Design, error) { return workload.SoCCells(20000, 1) })
+}
+
 // BenchmarkFigure1_Passes measures the §7 pre-processing on the Figure 1
 // configuration and asserts the minimum pass count (2) it exists to prove.
 func BenchmarkFigure1_Passes(b *testing.B) {

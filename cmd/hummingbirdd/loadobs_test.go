@@ -109,8 +109,9 @@ func TestInboundTraceID(t *testing.T) {
 }
 
 // TestExpositionCoversLoadObservability checks the full Prometheus
-// surface stays valid with the new draining gauge and inherited-trace
-// counter registered, and that both metrics actually render.
+// surface stays valid with the new draining gauge, inherited-trace
+// counter and the fixed point's warm-start counter registered, and that
+// all three metrics actually render.
 func TestExpositionCoversLoadObservability(t *testing.T) {
 	ts := newTestServer(t, 4, 4)
 	mTraceInherited.Inc() // counters render only once non-registered-at-zero paths ran
@@ -127,7 +128,7 @@ func TestExpositionCoversLoadObservability(t *testing.T) {
 	if err := telemetry.CheckExposition(bytes.NewReader(body)); err != nil {
 		t.Fatalf("exposition invalid: %v", err)
 	}
-	for _, want := range []string{"hb_server_draining", "hb_server_trace_ids_inherited_total"} {
+	for _, want := range []string{"hb_server_draining", "hb_server_trace_ids_inherited_total", "hb_core_warm_starts_total"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %s", want)
 		}

@@ -200,6 +200,11 @@ func TestRequestTrace(t *testing.T) {
 		}
 		if findSpan(sw, "sta.recompute") != nil {
 			recomputing++
+			// A recomputing sweep names the result it worked on and how
+			// many clusters it recomputed there.
+			if sw.Attrs["reference"] == "" || sw.Attrs["recomputed"] == "" {
+				t.Errorf("recomputing core.sweep span lacks reference/recomputed attrs: %v", sw.Attrs)
+			}
 		}
 	}
 	// The final sweep of each iteration converges (moved == 0) and

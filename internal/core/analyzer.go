@@ -58,7 +58,8 @@ type Options struct {
 	// recomputes every cluster, as the paper's plain formulation does.
 	// The default (incremental) recomputes only the clusters adjacent to
 	// elements whose offsets moved; results are identical (the A6
-	// ablation measures the speed difference).
+	// ablation measures the speed difference). FullSweeps also ignores a
+	// warm-start Reference, so it stays the plain-formulation oracle.
 	FullSweeps bool
 	// Trace, when non-nil, receives one structured telemetry.SweepEvent
 	// per fixed-point sweep (convergence tracing) and causes the full
@@ -101,6 +102,30 @@ type Analyzer struct {
 	// trace.go); reset at the top of IdentifySlowPaths and
 	// GenerateConstraints.
 	conv convTrail
+
+	// start and ref are the copy-on-write state of an
+	// IdentifySlowPathsFrom run: start is the caller's read-only result
+	// (nil once the run owns a working copy) and ref the warm reference
+	// (zero once used or passed over). refIDs is the reference set's
+	// reusable id scratch.
+	start  *sta.Result
+	ref    Reference
+	refIDs []int
+}
+
+// Reference is a previous Algorithm 1 fixed point that a run may warm-start
+// from (see IdentifySlowPathsFrom). A block result is a pure function,
+// cluster by cluster, of the cluster's arc delays and its elements'
+// offsets, so Result is exact at the current delays and offsets on every
+// cluster outside Dirty whose elements all sit at their Odz offsets.
+type Reference struct {
+	// Result is the block analysis at offsets Odz; it is only read.
+	Result *sta.Result
+	// Odz is the offset vector Result was computed at.
+	Odz []clock.Time
+	// Dirty lists the clusters whose arc delays changed since Result was
+	// computed.
+	Dirty []int
 }
 
 // newAnalyzer wires an analyzer onto a compiled design with a fresh state.
@@ -122,7 +147,10 @@ func newAnalyzer(lib *celllib.Library, design *netlist.Design, cd *cluster.Compi
 // child whose own child is the sta recompute it triggered). A nil ctx
 // (the legacy entry points) makes the sweep uninterruptible; with a
 // context the re-analysis is abandoned mid-sweep on expiry, returning
-// the cause — res is then stale and must be discarded.
+// the cause — res is then stale and must be discarded. In a run begun
+// from a read-only start result (IdentifySlowPathsFrom) the first
+// incremental sweep that moves an offset takes the run's working copy
+// (ownResult) before recomputing; a full sweep needs none.
 func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Result, op func(ei int, e *syncelem.Element) clock.Time) (*sta.Result, int, int, error) {
 	mSweeps.Inc()
 	sctx, sp := span.Start(ctx, "core.sweep")
@@ -132,16 +160,12 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 	// The dirty-cluster set is a reusable bitset on the analyzer: one
 	// sweep runs per fixed-point step, so a per-call map is hot-path
 	// garbage.
-	for i := range a.dirty {
-		a.dirty[i] = 0
-	}
+	clear(a.dirty)
 	moved := 0
 	for ei, e := range a.CD.Elems {
 		if op(ei, e) > 0 {
 			moved++
-			for _, cl := range a.CD.ElemClusters[ei] {
-				a.dirty[cl>>6] |= 1 << (uint(cl) & 63)
-			}
+			a.markElem(ei)
 		}
 	}
 	sp.AnnotateInt("moved", moved)
@@ -151,19 +175,21 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 	mOffsetsMoved.Add(int64(moved))
 	if a.Opts.FullSweeps {
 		mFullSweeps.Inc()
+		sp.Annotate("reference", "none")
+		sp.AnnotateInt("recomputed", len(a.CD.CC))
 		if ctx != nil {
 			r, err := sta.AnalyzeParallelContext(sctx, a.CD, a.St, a.Opts.Workers)
 			return r, moved, len(a.CD.CC), err
 		}
 		return sta.AnalyzeParallel(a.CD, a.St, a.Opts.Workers), moved, len(a.CD.CC), nil
 	}
-	ids := a.dirtyIDs[:0]
-	for w, word := range a.dirty {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, w*64+bits.TrailingZeros64(word))
-		}
+	a.dirtyIDs = a.dirtyList(a.dirtyIDs)
+	ids, reference := a.dirtyIDs, "working"
+	if a.start != nil {
+		res, ids, reference = a.ownResult(ids)
 	}
-	a.dirtyIDs = ids
+	sp.Annotate("reference", reference)
+	sp.AnnotateInt("recomputed", len(ids))
 	mIncrClusters.Add(int64(len(ids)))
 	mIncrSkipped.Add(int64(len(a.CD.CC) - len(ids)))
 	if ctx != nil {
@@ -174,6 +200,65 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 	}
 	sta.RecomputeParallel(a.CD, a.St, res, ids, a.Opts.Workers)
 	return res, moved, len(ids), nil
+}
+
+// ownResult gives a run that began from a read-only start result its one
+// working copy, at the first sweep that moves an offset. A copy is due
+// there either way, so it is taken from whichever source leaves less to
+// recompute: start, with the clusters the sweep moved, or the warm
+// reference, with the clusters on which it differs from the current
+// state. It returns the copy, the clusters to recompute on it and the
+// span label of the source ("start" or "fixed-point").
+func (a *Analyzer) ownResult(moved []int) (*sta.Result, []int, string) {
+	src, ids, label := a.start, moved, "start"
+	if ref := a.ref; ref.Result != nil {
+		clear(a.dirty)
+		for _, cl := range ref.Dirty {
+			a.dirty[cl>>6] |= 1 << (uint(cl) & 63)
+		}
+		for ei, o := range a.St.Odz {
+			if o != ref.Odz[ei] {
+				a.markElem(ei)
+			}
+		}
+		a.refIDs = a.dirtyList(a.refIDs)
+		if a.cost(a.refIDs) < a.cost(moved) {
+			mWarmStarts.Inc()
+			src, ids, label = ref.Result, a.refIDs, "fixed-point"
+		}
+	}
+	a.start, a.ref = nil, Reference{}
+	return src.Clone(), ids, label
+}
+
+// markElem marks the clusters owning element ei's terminals dirty.
+func (a *Analyzer) markElem(ei int) {
+	for _, cl := range a.CD.ElemClusters[ei] {
+		a.dirty[cl>>6] |= 1 << (uint(cl) & 63)
+	}
+}
+
+// dirtyList writes the dirty bitset's cluster ids, ascending, into dst.
+func (a *Analyzer) dirtyList(dst []int) []int {
+	dst = dst[:0]
+	for w, word := range a.dirty {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return dst
+}
+
+// cost estimates the work of recomputing the clusters: every pass walks
+// each of a cluster's nets and arcs, so a wide multi-pass cluster weighs
+// what many small ones do.
+func (a *Analyzer) cost(ids []int) int {
+	w := 0
+	for _, id := range ids {
+		cc := a.CD.CC[id]
+		w += len(cc.Plan.Breaks) * (len(cc.Nets) + len(cc.Arcs))
+	}
+	return w
 }
 
 // Load validates a design, resolves its hierarchy (rolling combinational
@@ -310,24 +395,24 @@ func (a *Analyzer) IdentifySlowPathsCtx(ctx context.Context) (*Report, error) {
 	return a.identifySlowPathsFrom(ctx, res)
 }
 
-// IdentifySlowPathsFrom runs Algorithm 1 starting from res, which must be
-// the block analysis of the network at its current offsets (for example a
-// cached result brought up to date with sta.Recompute). res is consumed:
-// the fixed point mutates it in place and the report retains it.
-func (a *Analyzer) IdentifySlowPathsFrom(res *sta.Result) (*Report, error) {
+// IdentifySlowPathsFrom runs Algorithm 1 starting from start, the block
+// analysis of the network at its current offsets (for example a cached
+// initial-offset result brought up to date with sta.Recompute). start is
+// only read: the report gets its own result, copied at the first sweep
+// that moves an offset (or at the end, if none does) from start or, when
+// that leaves fewer clusters to recompute, from ref.Result. A zero ref
+// disables the warm start, and Options.FullSweeps ignores it. A nil ctx
+// runs to completion; with a context an interruption returns a
+// *CancelledError, and the offsets must be reset before the analyzer is
+// reused.
+func (a *Analyzer) IdentifySlowPathsFrom(ctx context.Context, start *sta.Result, ref Reference) (*Report, error) {
 	t0 := time.Now()
-	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	return a.identifySlowPathsFrom(nil, res)
-}
-
-// IdentifySlowPathsFromCtx is IdentifySlowPathsFrom with cancellation;
-// see IdentifySlowPathsCtx. On error res has been partially mutated and
-// must be discarded along with the offsets (call ResetOffsets before
-// reusing the analyzer).
-func (a *Analyzer) IdentifySlowPathsFromCtx(ctx context.Context, res *sta.Result) (*Report, error) {
-	t0 := time.Now()
-	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	return a.identifySlowPathsFrom(ctx, res)
+	a.start, a.ref = start, ref
+	defer func() {
+		a.start, a.ref = nil, Reference{}
+		tAnalysis.Observe(time.Since(t0))
+	}()
+	return a.identifySlowPathsFrom(ctx, start)
 }
 
 // identifySlowPathsFrom is Algorithm 1. A nil ctx runs it to completion
@@ -428,6 +513,10 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (
 }
 
 func (a *Analyzer) finish(rep *Report, res *sta.Result) (*Report, error) {
+	if res == a.start {
+		// No sweep moved an offset: the read-only start is the answer.
+		res = res.Clone()
+	}
 	rep.Result = res
 	rep.OK = allPositive(res)
 	rep.Trajectory = a.conv.full

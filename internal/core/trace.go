@@ -19,6 +19,9 @@ var (
 	mFullSweeps   = telemetry.NewCounter("core.full_recomputes")
 	mIncrClusters = telemetry.NewCounter("core.incremental_clusters")
 	mIncrSkipped  = telemetry.NewCounter("core.incremental_clusters_skipped")
+	// mWarmStarts counts runs whose first moving sweep switched onto the
+	// previous fixed point (Reference) instead of the run's start result.
+	mWarmStarts = telemetry.NewCounter("core.warm_starts")
 
 	tLoad        = telemetry.NewTimer("phase.load")
 	tAnalysis    = telemetry.NewTimer("phase.analysis")

@@ -12,10 +12,13 @@
 //   - Delay-only edits (adjustments, and resizes that preserve the cell's
 //     pin/arc interface, on combinational instances outside the clock
 //     cones) patch the affected arc delays in place, recompute only the
-//     clusters owning those arcs against the cached initial-offset result,
+//     clusters owning those arcs in the cached initial-offset result,
 //     and re-run the Algorithm 1 fixed point from there. The fixed point
 //     itself is incremental: each sweep recomputes only the clusters
-//     adjacent to elements whose offsets moved (core.Analyzer.sweep).
+//     adjacent to elements whose offsets moved (core.Analyzer.sweep), and
+//     its first moving sweep warm-starts from the previous fixed point,
+//     recomputing just the clusters that differ from it
+//     (core.Reference).
 //   - Anything that reshapes the timing network — replacing a cell with a
 //     different interface, adding or removing instances, rewiring pins, or
 //     touching a synchronising element or a control cone — falls back to a
@@ -148,13 +151,10 @@ type Engine struct {
 	an     *core.Analyzer
 	// base is the block analysis at the *initial* offsets (ResetOffsets
 	// state) for the current design and delays: the cached sta.Result that
-	// delay-only edits bring up to date with sta.Recompute instead of
-	// re-running every cluster.
+	// delay-only edits rebase in place with sta.Recompute instead of
+	// re-running every cluster. It is private to the engine; reports never
+	// alias it.
 	base *sta.Result
-	// spare is a retired base buffer recycled by the next rebase: the
-	// delay-only path double-buffers e.base through sta.(*Result).CloneInto
-	// so steady-state edits rebase without allocating.
-	spare *sta.Result
 	// Reusable applyDelayOnly scratch (cleared, never reallocated, so
 	// steady-state delay edits stay off the allocator).
 	scrArcs  map[arcRef]bool
@@ -520,9 +520,10 @@ type undoStep struct {
 	oldRef   string     // Resize: previous cell ref
 }
 
-// applyDelayOnly patches arc delays in place and recomputes only the dirty
-// clusters against the cached initial-offset result. Every error path runs
-// the undo log, so a failed batch (cancellation, non-convergence, a failed
+// applyDelayOnly patches arc delays in place, rebases the cached
+// initial-offset result over the dirty clusters and re-runs Algorithm 1
+// warm-started from the previous fixed point. Every error path runs the
+// undo log, so a failed batch (cancellation, non-convergence, a failed
 // checksum-fallback rebuild) leaves the engine bit-identical to its state
 // before the call — including the still-valid previous report.
 func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, error) {
@@ -539,9 +540,13 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	clear(e.scrNets)
 	affectedNets := e.scrNets
 	dirtyArcs := e.scrArcs
-	oldBase := e.base
 	undo := e.scrUndo[:0]
 	nets := e.scrNames[:0]
+	ids := e.scrIDs[:0]
+	// rebased marks that e.base has been recomputed at the batch's delays
+	// over ids; a rollback recomputes the same clusters at the restored
+	// delays, which brings back the pre-batch base exactly.
+	rebased := false
 	rollback := func() {
 		for i := len(undo) - 1; i >= 0; i-- {
 			u := undo[i]
@@ -559,7 +564,10 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		for r := range dirtyArcs {
 			e.reevalArc(r)
 		}
-		e.base = oldBase
+		if rebased {
+			e.an.ResetOffsets()
+			sta.RecomputeParallel(e.an.CD, e.an.St, e.base, ids, e.opts.Workers)
+		}
 		e.restoreOffsets()
 	}
 	// topo tracks the checksum across the batch: the sum-composed
@@ -617,7 +625,6 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 			}
 		}
 	}
-	ids := e.scrIDs[:0]
 	for r := range dirtyArcs {
 		e.reevalArc(r)
 		seen := false
@@ -654,43 +661,36 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	mCacheHits.Inc()
 	mDirtyClusters.Add(int64(len(ids)))
 
-	// Replay the from-scratch computation: initial offsets, cached base
-	// result with just the dirty clusters recomputed, then the incremental
-	// Algorithm 1 fixed point. Any interruption rolls the patches back —
-	// the previous report and base cache stay live, and the caller can
-	// retry the identical batch.
+	// Replay the from-scratch computation: initial offsets, the cached base
+	// result rebased in place over just the dirty clusters, then the
+	// incremental Algorithm 1 fixed point. The fixed point warm-starts from
+	// the previous one (e.rep.Result at e.odz, stale only on ids): its
+	// first moving sweep recomputes the clusters that differ from that
+	// reference instead of replaying every borrow from the initial
+	// offsets. Any interruption rolls the patches back — the previous
+	// report and base cache stay live, and the caller can retry the
+	// identical batch.
 	e.an.ResetOffsets()
-	res := e.base.Clone()
 	if len(ids) > 0 {
 		// Large dirty sets (≥ the sta threshold) ride the level-scheduled
 		// parallel walk when the engine was opened with Options.Workers;
 		// small ones stay on the sequential allocation-free path.
+		rebased = true
 		if ctx != nil {
-			if err := sta.RecomputeParallelContext(ctx, e.an.CD, e.an.St, res, ids, e.opts.Workers); err != nil {
+			if err := sta.RecomputeParallelContext(ctx, e.an.CD, e.an.St, e.base, ids, e.opts.Workers); err != nil {
 				rollback()
 				return nil, err
 			}
 		} else {
-			sta.RecomputeParallel(e.an.CD, e.an.St, res, ids, e.opts.Workers)
+			sta.RecomputeParallel(e.an.CD, e.an.St, e.base, ids, e.opts.Workers)
 		}
-		e.base = res.CloneInto(e.spare)
-		e.spare = nil
 	}
-	var rep *core.Report
-	var err error
-	if ctx != nil {
-		rep, err = e.an.IdentifySlowPathsFromCtx(ctx, res)
-	} else {
-		rep, err = e.an.IdentifySlowPathsFrom(res)
-	}
+	rep, err := e.an.IdentifySlowPathsFrom(ctx, e.base, core.Reference{Result: e.rep.Result, Odz: e.odz, Dirty: ids})
 	if err != nil {
 		rollback()
 		return nil, err
 	}
 	e.rep, e.cons = rep, nil
-	if oldBase != e.base {
-		e.spare = oldBase // recycle the retired base for the next rebase
-	}
 	e.snapshotOffsets()
 	return &Outcome{Incremental: true, DirtyClusters: len(ids), Report: rep}, nil
 }
@@ -797,22 +797,16 @@ func (e *Engine) loadFull(ctx context.Context) error {
 // analyzer and, on success, adopts it along with rebuilt caches and
 // indexes. The engine's previous state survives a failure.
 func (e *Engine) analyzeFresh(ctx context.Context, an *core.Analyzer) error {
-	var res *sta.Result
+	var base *sta.Result
 	var err error
 	if ctx != nil {
-		if res, err = sta.AnalyzeParallelContext(ctx, an.CD, an.St, an.Opts.Workers); err != nil {
+		if base, err = sta.AnalyzeParallelContext(ctx, an.CD, an.St, an.Opts.Workers); err != nil {
 			return err
 		}
 	} else {
-		res = sta.AnalyzeParallel(an.CD, an.St, an.Opts.Workers)
+		base = sta.AnalyzeParallel(an.CD, an.St, an.Opts.Workers)
 	}
-	base := res.Clone()
-	var rep *core.Report
-	if ctx != nil {
-		rep, err = an.IdentifySlowPathsFromCtx(ctx, res)
-	} else {
-		rep, err = an.IdentifySlowPathsFrom(res)
-	}
+	rep, err := an.IdentifySlowPathsFrom(ctx, base, core.Reference{})
 	if err != nil {
 		return err
 	}

@@ -87,8 +87,8 @@ type Result struct {
 // which no analysis mutates. All time vectors — the three slack vectors
 // and every pass's four views — share ONE backing allocation, so a Clone
 // is exactly three allocations (struct, backing, Passes slice) regardless
-// of pass count. Clone runs on every Constraints() call and engine
-// rebase, so its allocation count matters.
+// of pass count. Clone runs on every Constraints() call and delay edit,
+// so its allocation count matters.
 func (r *Result) Clone() *Result {
 	nE, nN := len(r.InSlack), len(r.NetSlack)
 	total := 2*nE + nN
@@ -124,36 +124,6 @@ func (r *Result) Clone() *Result {
 		}
 	}
 	return c
-}
-
-// CloneInto copies r into dst, reusing dst's existing vectors when the
-// shapes match (same element/net counts and identical pass layout — always
-// true across delay-only edits, where topology is frozen). When dst is nil
-// or shaped differently it falls back to Clone. The incremental engine
-// double-buffers its cached base result through this to rebase without
-// allocating.
-func (r *Result) CloneInto(dst *Result) *Result {
-	if dst == nil || len(dst.InSlack) != len(r.InSlack) ||
-		len(dst.NetSlack) != len(r.NetSlack) || len(dst.Passes) != len(r.Passes) {
-		return r.Clone()
-	}
-	for i := range r.Passes {
-		if len(dst.Passes[i].Nets) != len(r.Passes[i].Nets) {
-			return r.Clone()
-		}
-	}
-	copy(dst.InSlack, r.InSlack)
-	copy(dst.OutSlack, r.OutSlack)
-	copy(dst.NetSlack, r.NetSlack)
-	for i := range r.Passes {
-		p, q := &r.Passes[i], &dst.Passes[i]
-		q.Cluster, q.Pass, q.Beta, q.Nets = p.Cluster, p.Pass, p.Beta, p.Nets
-		copy(q.ReadyR, p.ReadyR)
-		copy(q.ReadyF, p.ReadyF)
-		copy(q.ReqR, p.ReqR)
-		copy(q.ReqF, p.ReqF)
-	}
-	return dst
 }
 
 // MinElemSlack returns the smaller of the element's terminal slacks.
